@@ -1,15 +1,13 @@
 """Microbenchmark: obs v2 cost with the serving-grade telemetry *disabled*.
 
-The observability layer is opt-in everywhere: windowed metrics
-(``repro.obs.windows``), the SLO monitor, and the sampling profiler all
-cost nothing until enabled — the hot paths pay one module-global branch
-per call site.  This bench proves that contract with wall clocks, on both
-instrumented hot paths:
+The opt-in observability surfaces — the SLO monitor, the sampling
+profiler and the op profiler — cost nothing until enabled: the hot paths
+pay one module-global branch per call site.  This bench proves that
+contract with wall clocks, on both instrumented hot paths:
 
 - **training residue** — per-batch train cost before any obs-v2 use vs
-  after a full enable/disable cycle (windowed metrics + SLO monitor +
-  sampling profiler + op profiler).  Gated under
-  ``MAX_DISABLED_OVERHEAD`` (5%).
+  after a full enable/disable cycle (SLO monitor + sampling profiler +
+  op profiler).  Gated under ``MAX_DISABLED_OVERHEAD`` (5%).
 - **serving residue** — per-request ``rerank`` latency, same cycle, same
   gate.
 - **inference-path residue** — per-request latency of a neural reranker
@@ -17,11 +15,6 @@ instrumented hot paths:
   same gate: the op profiler installs ``inference._PROFILE_HOOK`` and
   the disabled cost of that hook point is one module-global ``None``
   check per kernel call.
-- **enabled cost** — the same request path with windowed metrics *on*,
-  reported (not gated): the price of recent percentiles, for DESIGN.md's
-  "when to enable" guidance.
-- **micro cost** — nanoseconds per disabled ``windows.observe`` call,
-  reported for the record.
 
 All gates compare *minimum* observed latencies from interleaved rounds
 (:func:`bench_utils.interleaved_min_of_k`): the min isolates the code
@@ -49,12 +42,11 @@ from repro.core.trainer import RapidReranker, TrainConfig, train_rapid
 from repro.data import build_batch
 from repro.eval import ExperimentConfig, prepare_bundle
 from repro.nn import inference
-from repro.obs import windows
+from repro.obs import Histogram
 from repro.obs.autograd import disable_op_profiler, enable_op_profiler
 from repro.obs.profiler import start_sampling, stop_sampling
 from repro.obs.slo import serving_slo
 from repro.rerank import MMRReranker
-from repro.utils.timer import Timings
 
 BENCH_TAG = "obs_v2"
 MAX_DISABLED_OVERHEAD = 0.05
@@ -82,14 +74,12 @@ def _bundle():
 def _cycle_obs() -> None:
     """Enable and disable every opt-in obs-v2 surface.
 
-    Windowed metrics, an SLO monitor taking records, the sampling
-    profiler, and the op profiler (which installs
-    ``inference._PROFILE_HOOK`` on the tape-free kernels) all turn on and
-    back off; any residue left behind (a stale flag, a lingering sampler
-    thread, leaked windowed series feeding, a hook not uninstalled) is
-    exactly what the gates exist for.
+    An SLO monitor taking records, the sampling profiler, and the op
+    profiler (which installs ``inference._PROFILE_HOOK`` on the tape-free
+    kernels) all turn on and back off; any residue left behind (a
+    lingering sampler thread, a hook not uninstalled) is exactly what the
+    gates exist for.
     """
-    windows.enable_windowed()
     monitor = serving_slo()
     monitor.record(latency_ms=1.0)
     monitor.evaluate()
@@ -101,22 +91,7 @@ def _cycle_obs() -> None:
         np.ones((2, 3), dtype=np.float32), np.ones((3, 2), dtype=np.float32), None
     )
     disable_op_profiler()
-    windows.disable_windowed()
     assert inference._PROFILE_HOOK is None
-
-
-def disabled_call_seconds(iterations: int = 200_000) -> float:
-    """Seconds per disabled ``windows.observe`` + ``windows.mark`` pair.
-
-    This is the *entire* per-call-site cost the instrumented hot paths pay
-    when windowed metrics are off.
-    """
-    assert not windows.windowed_enabled()
-    start = time.perf_counter()
-    for _ in range(iterations):
-        windows.observe("bench.noop_ms", 1.0)
-        windows.mark("bench.noop")
-    return (time.perf_counter() - start) / iterations
 
 
 def best_batch_seconds(bundle, runs: int = TRAIN_RUNS) -> float:
@@ -130,7 +105,7 @@ def best_batch_seconds(bundle, runs: int = TRAIN_RUNS) -> float:
     )
     best = float("inf")
     for _ in range(runs):
-        timings = Timings()
+        timings = Histogram("bench.train_batch_ms")
         train_rapid(
             make_rapid_variant("rapid-det", rapid_config),
             bundle.train_requests,
@@ -140,7 +115,7 @@ def best_batch_seconds(bundle, runs: int = TRAIN_RUNS) -> float:
             config=bundle.config.train,
             timings=timings,
         )
-        best = min(best, min(timings.samples))
+        best = min(best, timings.quantile(0.0) / 1000)
     return best
 
 
@@ -187,13 +162,6 @@ def measure() -> dict[str, float]:
     best_infer_seconds()
     _cycle_obs()
 
-    def rerank_windowed() -> float:
-        windows.enable_windowed()
-        try:
-            return best_rerank_seconds(reranker, batch)
-        finally:
-            windows.disable_windowed()
-
     best = interleaved_min_of_k(
         [
             ("train_baseline", lambda: best_batch_seconds(bundle)),
@@ -203,11 +171,9 @@ def measure() -> dict[str, float]:
             ("train_disabled", lambda: best_batch_seconds(bundle)),
             ("rerank_disabled", lambda: best_rerank_seconds(reranker, batch)),
             ("infer_disabled", best_infer_seconds),
-            ("rerank_windowed", rerank_windowed),
         ],
         repeats=REPEATS,
     )
-    micro = disabled_call_seconds()
 
     return {
         "train_baseline_ms_per_batch": 1e3 * best["train_baseline"],
@@ -225,11 +191,6 @@ def measure() -> dict[str, float]:
         "infer_disabled_overhead_fraction": best["infer_disabled"]
         / best["infer_baseline"]
         - 1.0,
-        "rerank_windowed_ms_per_request": 1e3 * best["rerank_windowed"],
-        "windowed_enabled_overhead_fraction": best["rerank_windowed"]
-        / best["rerank_disabled"]
-        - 1.0,
-        "disabled_call_us": 1e6 * micro,
     }
 
 
@@ -244,10 +205,7 @@ def main() -> None:
         f"({100 * result['rerank_disabled_overhead_fraction']:+.2f}%)\n"
         f"infer baseline:      {result['infer_baseline_ms_per_request']:.3f} ms/req\n"
         f"infer after cycle:   {result['infer_disabled_ms_per_request']:.3f} ms/req "
-        f"({100 * result['infer_disabled_overhead_fraction']:+.2f}%)\n"
-        f"rerank windowed on:  {result['rerank_windowed_ms_per_request']:.3f} ms/req "
-        f"({100 * result['windowed_enabled_overhead_fraction']:+.2f}%)\n"
-        f"disabled call pair:  {result['disabled_call_us']:.3f} us"
+        f"({100 * result['infer_disabled_overhead_fraction']:+.2f}%)"
     )
     path = publish_benchmark(BENCH_TAG, result)
     print(f"published {path}")

@@ -38,10 +38,10 @@ from repro.core.rapid import RapidConfig, make_rapid_variant
 from repro.core.trainer import TrainConfig, train_rapid
 from repro.data import build_batch
 from repro.eval import ExperimentConfig, prepare_bundle
+from repro.obs import Histogram
 from repro.rerank import MMRReranker
 from repro.resilience import FaultSpec, chaos
 from repro.resilience.degrade import CircuitBreaker, ResilientReranker
-from repro.utils.timer import Timings
 
 BENCH_TAG = "resilience_overhead"
 MAX_DISABLED_OVERHEAD = 0.05
@@ -84,7 +84,7 @@ def best_batch_seconds(bundle, runs: int = TRAIN_RUNS) -> float:
     )
     best = float("inf")
     for _ in range(runs):
-        timings = Timings()
+        timings = Histogram("bench.train_batch_ms")
         train_rapid(
             make_rapid_variant("rapid-det", rapid_config),
             bundle.train_requests,
@@ -94,7 +94,7 @@ def best_batch_seconds(bundle, runs: int = TRAIN_RUNS) -> float:
             config=bundle.config.train,
             timings=timings,
         )
-        best = min(best, min(timings.samples))
+        best = min(best, timings.quantile(0.0) / 1000)
     return best
 
 

@@ -32,8 +32,8 @@ from bench_utils import interleaved_min_of_k, publish_benchmark
 from repro.core.rapid import RapidConfig, make_rapid_variant
 from repro.core.trainer import TrainConfig, train_rapid
 from repro.eval import ExperimentConfig, prepare_bundle
+from repro.obs import Histogram
 from repro.testing import disable_sanitizer, enable_sanitizer
-from repro.utils.timer import Timings
 
 BENCH_TAG = "sanitizer_overhead"
 MAX_DISABLED_OVERHEAD = 0.05
@@ -71,7 +71,7 @@ def best_batch_seconds(bundle, sanitized: bool = False, runs: int = TRAIN_RUNS) 
         enable_sanitizer()
     try:
         for _ in range(runs):
-            timings = Timings()
+            timings = Histogram("bench.train_batch_ms")
             train_rapid(
                 make_rapid_variant("rapid-det", rapid_config),
                 bundle.train_requests,
@@ -81,7 +81,7 @@ def best_batch_seconds(bundle, sanitized: bool = False, runs: int = TRAIN_RUNS) 
                 config=bundle.config.train,
                 timings=timings,
             )
-            best = min(best, min(timings.samples))
+            best = min(best, timings.quantile(0.0) / 1000)
     finally:
         if sanitized:
             disable_sanitizer()

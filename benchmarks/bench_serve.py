@@ -1,10 +1,10 @@
 """Serving benchmark: the batched rerank service under Zipfian load (PR 9).
 
 Drives :class:`repro.serve.RerankService` — RAPID behind a
-:class:`~repro.resilience.degrade.ResilientReranker`, slate cache on,
-windowed telemetry on — with the closed-loop Zipfian load generator
-(millions of distinct virtual users, hot-head traffic) in real-time mode
-and reports the serving SLIs:
+:class:`~repro.resilience.degrade.ResilientReranker`, slate cache on —
+with the closed-loop Zipfian load generator (millions of distinct
+virtual users, hot-head traffic) in real-time mode and reports the
+serving SLIs:
 
 - **p50/p95/p99 request latency** (client-observed, queueing included),
 - **requests/sec** sustained by the closed loop,
@@ -31,7 +31,6 @@ from bench_utils import publish_benchmark
 from repro.core import RapidConfig, RapidReranker
 from repro.data import make_taobao_world
 from repro.obs import get_registry
-from repro.obs import windows as obs_windows
 from repro.obs.slo import serving_slo
 from repro.resilience.degrade import ResilientReranker
 from repro.serve import (
@@ -117,11 +116,7 @@ async def run_load(service, workload) -> "tuple[dict, dict]":
 
 def measure() -> dict:
     service, workload = build_service()
-    obs_windows.enable_windowed()
-    try:
-        summary, batch_stats = asyncio.run(run_load(service, workload))
-    finally:
-        obs_windows.disable_windowed()
+    summary, batch_stats = asyncio.run(run_load(service, workload))
     return {
         "benchmark": "serving_closed_loop",
         "num_requests": NUM_REQUESTS,

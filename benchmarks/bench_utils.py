@@ -175,9 +175,8 @@ def bench_histogram(stage: str, **labels):
 
     All benches share the ``bench.<stage>_ms`` namespace in the
     process-global registry, so one pytest-benchmark session accumulates
-    p50/p95/p99 across datasets — the registry replaces the per-bench
-    ad-hoc ``Timings`` instances (which are now thin shims over the same
-    histogram type; see ``repro.utils.timer``).
+    p50/p95/p99 across datasets.  ``train_rapid`` and the neural
+    rerankers' ``fit`` take such a histogram as ``timings=``.
     """
     return get_registry().histogram(f"bench.{stage}_ms", **labels)
 

@@ -16,7 +16,6 @@ from repro.core import RapidConfig, RapidReranker
 from repro.data import build_batch
 from repro.eval import format_table, prepare_bundle
 from repro.rerank import DESAReranker, PRMReranker
-from repro.utils.timer import Timings
 
 from bench_utils import bench_histogram, bench_timer, experiment_config, publish
 
@@ -26,9 +25,8 @@ def _measure(make_model, bundle, label: str) -> dict[str, float]:
     dataset = bundle.config.dataset
     model = make_model()
     # Registry-backed series: per-batch training times accumulate in the
-    # global ``bench.train_batch_ms{model=...,dataset=...}`` histogram;
-    # Timings is just the shim that feeds it.
-    timings = Timings(bench_histogram("train_batch", model=label, dataset=dataset))
+    # global ``bench.train_batch_ms{model=...,dataset=...}`` histogram.
+    timings = bench_histogram("train_batch", model=label, dataset=dataset)
     start = time.perf_counter()
     if isinstance(model, RapidReranker):
         from repro.core.trainer import train_rapid
@@ -61,7 +59,7 @@ def _measure(make_model, bundle, label: str) -> dict[str, float]:
             model.score_batch(batch)
     return {
         "train-all (s)": train_all,
-        "train-b (ms)": timings.mean_ms,
+        "train-b (ms)": timings.mean,
         "test-b (ms)": inference.mean,
     }
 

@@ -9,9 +9,9 @@ boundary because span ids are pid-qualified and the trace id rides in
 the propagated context (DESIGN.md §9).
 
 Along the way the parent serves through a :class:`ResilientReranker`
-wired to the default serving SLO, with windowed metrics enabled, and
-prints the OpenMetrics exposition a ``GET /metrics`` endpoint would
-return.
+wired to the default serving SLO and prints the OpenMetrics exposition
+a ``GET /metrics`` endpoint would return (every latency histogram also
+exposes its last-60s window as a ``<name>_window`` family).
 
 Run:  python examples/distributed_tracing.py
 """
@@ -26,7 +26,6 @@ import numpy as np
 from repro.data import RankingRequest, build_batch, make_taobao_world
 from repro.obs import (
     current_context,
-    enable_windowed,
     merge_span_records,
     reset_tracer,
     serving_slo,
@@ -73,7 +72,6 @@ def rerank_shard(payload: dict) -> list[dict]:
 
 
 def main() -> None:
-    enable_windowed()
     world = make_taobao_world("tiny", seed=0)
     histories = world.sample_histories()
     serving = ResilientReranker(

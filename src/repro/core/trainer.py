@@ -18,13 +18,11 @@ import numpy as np
 from .. import nn
 from ..data.batching import RerankBatch, iterate_batches
 from ..data.schema import Catalog, Population, RankingRequest
-from ..obs import RunLogger, get_registry, get_run_logger, trace
-from ..obs import windows as _windows
+from ..obs import Histogram, RunLogger, get_registry, get_run_logger, trace
 from ..rerank.base import Reranker
 from ..resilience.chaos import faultpoint
 from ..resilience.checkpoint import CheckpointConfig, CheckpointManager
 from ..utils.rng import make_rng
-from ..utils.timer import Timings
 from .rapid import RapidConfig, RapidModel, make_rapid_variant
 
 __all__ = [
@@ -111,7 +109,7 @@ def train_rapid(
     histories: list[np.ndarray],
     config: TrainConfig = TrainConfig(),
     on_epoch_end: Callable[[int, float], object] | None = None,
-    timings: Timings | None = None,
+    timings: Histogram | None = None,
     run_logger: RunLogger | None = None,
     checkpoint: CheckpointConfig | None = None,
 ) -> list[float]:
@@ -123,7 +121,10 @@ def train_rapid(
     logger when omitted — silent by default) and to the process-global
     metrics registry/tracer: per-batch ``train.batch`` events and spans,
     per-epoch ``train.epoch`` events with loss, grad norm, learning rate
-    and throughput, and a ``train.batch_ms`` latency histogram.
+    and throughput, a ``train.batch_ms`` latency histogram and a
+    ``train.lists`` counter.  ``timings``, when given, is a further
+    :class:`~repro.obs.metrics.Histogram` that also receives each batch's
+    milliseconds (benchmarks pass their own series).
 
     With ``checkpoint`` set, the run saves a durable checkpoint (model +
     optimizer slots + noise-RNG state + loss history; see
@@ -139,6 +140,7 @@ def train_rapid(
         raise ValueError("no training requests provided")
     logger = run_logger if run_logger is not None else get_run_logger()
     batch_hist = get_registry().histogram("train.batch_ms")
+    lists_counter = get_registry().counter("train.lists")
     optimizer = nn.Adam(
         model.parameters(), lr=config.lr, weight_decay=config.weight_decay
     )
@@ -194,13 +196,9 @@ def train_rapid(
                         grad_norm = apply_step(model, optimizer, config.grad_clip)
                         batch_seconds = time.perf_counter() - start
                     batch_hist.observe(1000.0 * batch_seconds)
-                    # Windowed twin + throughput meter (no-ops when windowed
-                    # metrics are off): recent batch latency percentiles and
-                    # a lists/s EWMA for long training runs.
-                    _windows.observe("train.batch_ms", 1000.0 * batch_seconds)
-                    _windows.mark("train.lists", batch.batch_size)
+                    lists_counter.inc(batch.batch_size)
                     if timings is not None:
-                        timings.add(batch_seconds)
+                        timings.observe(1000.0 * batch_seconds)
                     epoch_losses.append(loss.item())
                     grad_norms.append(float(grad_norm))
                     lists_seen += batch.batch_size

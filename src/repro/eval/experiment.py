@@ -36,7 +36,6 @@ from ..data import (
 )
 from ..metrics import clicks_at_k, div_at_k, ndcg_at_k, revenue_at_k, satis_at_k
 from ..obs import get_registry, get_run_logger, trace
-from ..obs import windows as _windows
 from ..rankers import DINRanker, InitialRanker, LambdaMARTRanker, SVMRankRanker
 from ..rerank import (
     AdaptiveMMRReranker,
@@ -242,13 +241,18 @@ def evaluate_reranker(
     ``rerank.latency_ms`` histogram), metric computation inside an
     ``eval.metrics`` span, and every aggregate metric is published as an
     ``eval.<metric>{model=...}`` gauge plus a per-list latency gauge
-    ``eval.rerank_ms_per_list{model=...}``.
+    ``eval.rerank_ms_per_list{model=...}``.  Each batch pass also lands in
+    the ``eval.rerank_batch_ms{model=...}`` histogram and the
+    ``eval.lists{model=...}`` counter.
     """
     config = bundle.config
     model_name = getattr(reranker, "name", None) or "init"
     ks = tuple(ks) if ks is not None else config.eval_ks
     catalog = bundle.world.catalog
     requests = bundle.test_requests
+    registry = get_registry()
+    batch_hist = registry.histogram("eval.rerank_batch_ms", model=model_name)
+    lists_counter = registry.counter("eval.lists", model=model_name)
 
     faultpoint("eval.rerank")
     with trace("eval.rerank"):
@@ -271,10 +275,8 @@ def evaluate_reranker(
                     else reranker.rerank(batch)
                 )
             rerank_seconds += span.duration_s
-            _windows.observe(
-                "eval.rerank_batch_ms", span.duration_ms, model=model_name
-            )
-            _windows.mark("eval.lists", len(chunk), model=model_name)
+            batch_hist.observe(span.duration_ms)
+            lists_counter.inc(len(chunk))
             permutations.extend(perm[row] for row in range(len(chunk)))
 
     faultpoint("eval.metrics")
@@ -323,7 +325,6 @@ def evaluate_reranker(
             k: np.asarray([row[:k].sum() for row in click_rows]) for k in ks
         }
 
-    registry = get_registry()
     rerank_ms_per_list = (
         1000.0 * rerank_seconds / len(requests) if requests else 0.0
     )

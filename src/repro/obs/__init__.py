@@ -3,12 +3,13 @@
 Cooperating pieces (each usable alone):
 
 - :mod:`repro.obs.metrics` — process-global registry of counters, gauges,
-  and histograms (p50/p95/p99), with labeled series and a cardinality cap
-  (overflow label sets collapse into one ``overflow="true"`` series,
-  counted in ``obs.dropped_series``);
-- :mod:`repro.obs.windows` — **opt-in** sliding-window histograms and
-  EWMA rate meters, so long-lived serving processes report *recent*
-  p50/p95/p99 and per-second rates instead of lifetime aggregates;
+  and histograms, with labeled series and a cardinality cap (overflow
+  label sets collapse into one ``overflow="true"`` series, counted in
+  ``obs.dropped_series``); each histogram reports lifetime p50/p95/p99
+  and, from the same samples, a sliding-window view, so long-lived
+  serving processes also see *recent* percentiles and event rates;
+- :mod:`repro.obs.windows` — windowed good/bad event counters, the input
+  to SLO burn rates;
 - :mod:`repro.obs.tracing` — nested wall-clock spans via ``trace(name)``
   with trace/span/parent ids, exportable as a text tree or Chrome
   ``trace_event`` JSON;
@@ -100,15 +101,7 @@ from .slo import (
     serving_slo,
 )
 from .tracing import Span, Tracer, get_tracer, reset_tracer, trace
-from .windows import (
-    EwmaMeter,
-    WindowedCounter,
-    WindowedHistogram,
-    disable_windowed,
-    enable_windowed,
-    windowed_enabled,
-    windowed_metrics,
-)
+from .windows import WindowedCounter
 
 __all__ = [
     "Counter",
@@ -117,13 +110,7 @@ __all__ = [
     "MetricsRegistry",
     "get_registry",
     "reset_registry",
-    "WindowedHistogram",
     "WindowedCounter",
-    "EwmaMeter",
-    "enable_windowed",
-    "disable_windowed",
-    "windowed_enabled",
-    "windowed_metrics",
     "Span",
     "Tracer",
     "trace",

@@ -4,10 +4,9 @@ Two export surfaces over one :class:`~repro.obs.metrics.MetricsRegistry`:
 
 - :func:`render_openmetrics` — the Prometheus/OpenMetrics text exposition
   format, one family per metric name.  Counters become ``<name>_total``,
-  gauges stay gauges, histograms and windowed histograms render as
-  summaries (``{quantile="0.5"}`` series plus ``_sum``/``_count``), and
-  EWMA meters expose per-tau rate gauges.  A serving endpoint returns this
-  string verbatim as ``GET /metrics``.
+  gauges stay gauges, and histograms render as summaries
+  (``{quantile="0.5"}`` series plus ``_sum``/``_count``).  A serving
+  endpoint returns this string verbatim as ``GET /metrics``.
 - :func:`write_snapshot` / :class:`SnapshotExporter` — the full registry
   snapshot (every field of every series, exactly what
   :meth:`~repro.obs.metrics.MetricsRegistry.collect` reports) as a JSON
@@ -16,10 +15,10 @@ Two export surfaces over one :class:`~repro.obs.metrics.MetricsRegistry`:
   :class:`SnapshotExporter` rewrites it from a daemon thread every
   ``interval_s`` seconds.
 
-Metric names are sanitized for Prometheus (dots become underscores); a
-windowed histogram sharing a cumulative histogram's name exports as
-``<name>_window`` with a ``window`` label so the two families stay
-distinct.
+Metric names are sanitized for Prometheus (dots become underscores).  A
+histogram's sliding-window view exports as a second summary family,
+``<name>_window``, with a ``window`` label, so the lifetime and recent
+families stay distinct.
 """
 
 from __future__ import annotations
@@ -91,20 +90,23 @@ def _family_lines(name: str, kind: str, snaps: list[dict]) -> list[str]:
         for snap in snaps:
             labels = _labels_text(snap["labels"])
             lines.append(f"{name}{labels} {_format_value(snap['value'])}")
-    elif kind in ("histogram", "windowed_histogram"):
+    elif kind in ("histogram", "window"):
+        # A histogram snapshot carries both views; the window family reads
+        # the ``window_*`` fields of the same snapshot.
+        prefix = "window_" if kind == "window" else ""
         lines.append(f"# TYPE {name} summary")
         for snap in snaps:
-            extra = {}
-            if kind == "windowed_histogram":
-                extra["window"] = f"{snap['window_s']:g}s"
+            extra = {"window": f"{snap['window_s']:g}s"} if prefix else {}
             for quantile, field in _QUANTILES:
                 labels = _labels_text(
                     snap["labels"], {**extra, "quantile": quantile}
                 )
-                lines.append(f"{name}{labels} {_format_value(snap[field])}")
+                value = snap[prefix + field]
+                lines.append(f"{name}{labels} {_format_value(value)}")
             labels = _labels_text(snap["labels"], extra)
-            lines.append(f"{name}_sum{labels} {_format_value(snap['sum'])}")
-            lines.append(f"{name}_count{labels} {_format_value(snap['count'])}")
+            total, count = snap[prefix + "sum"], snap[prefix + "count"]
+            lines.append(f"{name}_sum{labels} {_format_value(total)}")
+            lines.append(f"{name}_count{labels} {_format_value(count)}")
     elif kind == "windowed_counter":
         lines.append(f"# TYPE {name} gauge")
         for snap in snaps:
@@ -112,15 +114,6 @@ def _family_lines(name: str, kind: str, snaps: list[dict]) -> list[str]:
                 snap["labels"], {"window": f"{snap['window_s']:g}s"}
             )
             lines.append(f"{name}{labels} {_format_value(snap['total'])}")
-    elif kind == "meter":
-        lines.append(f"# TYPE {name} gauge")
-        for snap in snaps:
-            for field in sorted(snap):
-                if not field.endswith("_per_s"):
-                    continue
-                tau = field[: -len("_per_s")]
-                labels = _labels_text(snap["labels"], {"rate": tau})
-                lines.append(f"{name}{labels} {_format_value(snap[field])}")
     else:  # unknown kind: expose numeric fields as suffixed gauges
         lines.append(f"# TYPE {name} gauge")
         for snap in snaps:
@@ -141,11 +134,9 @@ def render_openmetrics(registry: MetricsRegistry | None = None) -> str:
     for snap in registry.collect():
         kind = snap["kind"]
         name = _metric_name(snap["name"])
-        if kind == "windowed_histogram":
-            # A windowed histogram may share its cumulative twin's name;
-            # suffix the family so the exposition stays unambiguous.
-            name += "_window"
         families.setdefault((name, kind), []).append(snap)
+        if kind == "histogram":
+            families.setdefault((name + "_window", "window"), []).append(snap)
     lines: list[str] = []
     for (name, kind), snaps in sorted(families.items()):
         lines.extend(_family_lines(name, kind, snaps))

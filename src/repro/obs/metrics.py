@@ -12,12 +12,13 @@ Three metric kinds are supported:
 - :class:`Counter` — monotonically increasing total (op counts, events);
 - :class:`Gauge` — last-written value (current loss, alpha-NDCG);
 - :class:`Histogram` — sample distribution with mean and p50/p95/p99
-  quantiles (latencies, per-batch times).
+  quantiles (latencies, per-batch times), both over the process lifetime
+  and over a sliding window of the last :data:`WINDOW_S` seconds.
 
-Windowed kinds (:class:`~repro.obs.windows.WindowedHistogram`,
-:class:`~repro.obs.windows.EwmaMeter`, ...) register through the same
-registry via :meth:`MetricsRegistry.windowed_histogram` /
-:meth:`MetricsRegistry.meter`; see :mod:`repro.obs.windows`.
+Every sample is recorded once: one :meth:`Histogram.observe` feeds both
+the lifetime and the windowed view.  Event rates are read off the same
+histogram (``window_count / window_s``); counts of anything else are
+:class:`Counter` series.
 
 Labeled series: ``registry.histogram("rerank.latency_ms", reranker="mmr")``
 creates one independent series per distinct label set.  To survive
@@ -34,7 +35,9 @@ from __future__ import annotations
 
 import logging
 import threading
+import time
 from bisect import insort
+from itertools import chain
 
 __all__ = [
     "Counter",
@@ -50,9 +53,11 @@ Labels = tuple[tuple[str, str], ...]
 # The label set identifying a metric's shared cardinality-overflow series.
 _OVERFLOW_LABELS: Labels = (("overflow", "true"),)
 
-# Name collisions tolerated across kinds: a cumulative histogram and its
-# sliding-window twin intentionally share a name (exporters disambiguate).
-_COMPATIBLE_KINDS = {frozenset(("histogram", "windowed_histogram"))}
+# Every histogram's sliding window: WINDOW_S seconds split into
+# WINDOW_BUCKETS sub-windows, each keeping at most BUCKET_CAP samples.
+WINDOW_S = 60.0
+WINDOW_BUCKETS = 6
+BUCKET_CAP = 4096
 
 
 def _normalize_labels(labels: dict[str, object]) -> Labels:
@@ -139,25 +144,100 @@ class Gauge(_Metric):
         }
 
 
-class Histogram(_Metric):
-    """Sample distribution with interpolated quantiles.
+class _Ring:
+    """Sub-window ring arithmetic shared by windowed metrics (owners lock).
 
-    Samples are kept sorted so quantile reads are O(1) after an O(log n)
-    insert.  ``max_samples`` bounds memory on long runs: once full, a
-    coarse reservoir policy keeps every other sample (count/sum stay exact;
-    quantiles become approximate, which is fine for telemetry).
+    The ring has ``buckets + 1`` slots: one spare so the *filling*
+    sub-window never evicts a live one.  After :meth:`advance`, every slot
+    lies inside the window, which therefore covers between ``window_s``
+    and ``window_s + window_s / buckets`` seconds of arrivals.
+    """
+
+    def __init__(self, window_s: float, buckets: int, clock) -> None:
+        if window_s <= 0:
+            raise ValueError("window_s must be positive")
+        if buckets < 1:
+            raise ValueError("buckets must be >= 1")
+        self.window_s = float(window_s)
+        self.span_s = self.window_s / buckets
+        self.clock = clock
+        self.slots = buckets + 1
+        self.tick = self._tick_now()
+
+    def _tick_now(self) -> int:
+        return int(self.clock() / self.span_s)
+
+    def advance(self, clear) -> int:
+        """Move to the current tick, calling ``clear(slot)`` on expired slots.
+
+        Returns the slot index of the current (filling) sub-window.
+        """
+        now_tick = self._tick_now()
+        if now_tick != self.tick:
+            steps = min(now_tick - self.tick, self.slots)
+            for offset in range(1, steps + 1):
+                clear((self.tick + offset) % self.slots)
+            self.tick = now_tick
+        return self.tick % self.slots
+
+
+_QUANTILES = (0.50, 0.95, 0.99)
+
+
+def _interpolate(samples: list[float], q: float) -> float:
+    """Linear-interpolated quantile ``q`` of sorted ``samples`` (0 if empty)."""
+    if not samples:
+        return 0.0
+    position = q * (len(samples) - 1)
+    low = int(position)
+    high = min(low + 1, len(samples) - 1)
+    frac = position - low
+    return samples[low] * (1.0 - frac) + samples[high] * frac
+
+
+class Histogram(_Metric):
+    """Sample distribution: lifetime quantiles plus a sliding-window view.
+
+    One :meth:`observe`, under one lock, updates the exact lifetime count
+    and sum, a sorted lifetime reservoir (``insort`` into a list, so an
+    insert is O(n) and a quantile read O(1)), and the current sub-window of
+    a ring covering the last :data:`WINDOW_S` seconds.  ``max_samples``
+    bounds the reservoir: once full, a coarse policy keeps every other
+    sample (count/sum stay exact; quantiles become approximate, which is
+    fine for telemetry).  Each sub-window applies the same policy at
+    :data:`BUCKET_CAP` samples.
+
+    :meth:`snapshot` reports both views; the ``window_*`` fields merge the
+    live sub-windows, so they describe between ``window_s`` and
+    ``window_s + window_s / WINDOW_BUCKETS`` seconds of arrivals, and
+    ``window_count / window_s`` is the recent event rate.  ``clock``
+    (``time.monotonic`` by default) is injectable so tests can expire
+    samples without sleeping.
     """
 
     kind = "histogram"
 
     def __init__(
-        self, name: str, labels: Labels = (), max_samples: int = 100_000
+        self,
+        name: str,
+        labels: Labels = (),
+        max_samples: int = 100_000,
+        clock=time.monotonic,
     ) -> None:
         super().__init__(name, labels)
         self._sorted: list[float] = []
         self._count = 0
         self._sum = 0.0
         self._max_samples = max_samples
+        self._ring = _Ring(WINDOW_S, WINDOW_BUCKETS, clock)
+        self._window: list[list[float]] = [[] for _ in range(self._ring.slots)]
+        self._window_counts = [0] * self._ring.slots
+        self._window_sums = [0.0] * self._ring.slots
+
+    def _clear(self, slot: int) -> None:
+        self._window[slot] = []
+        self._window_counts[slot] = 0
+        self._window_sums[slot] = 0.0
 
     def observe(self, value: float) -> None:
         value = float(value)
@@ -167,6 +247,13 @@ class Histogram(_Metric):
             if len(self._sorted) >= self._max_samples:
                 self._sorted = self._sorted[::2]
             insort(self._sorted, value)
+            slot = self._ring.advance(self._clear)
+            bucket = self._window[slot]
+            if len(bucket) >= BUCKET_CAP:
+                self._window[slot] = bucket = bucket[::2]
+            bucket.append(value)
+            self._window_counts[slot] += 1
+            self._window_sums[slot] += value
 
     @property
     def count(self) -> int:
@@ -181,18 +268,11 @@ class Histogram(_Metric):
         return self._sum / self._count if self._count else 0.0
 
     def quantile(self, q: float) -> float:
-        """Linear-interpolated quantile ``q`` in [0, 1] of observed samples."""
+        """Linear-interpolated lifetime quantile ``q`` in [0, 1]."""
         if not 0.0 <= q <= 1.0:
             raise ValueError("quantile must be in [0, 1]")
         with self._lock:
-            samples = self._sorted
-            if not samples:
-                return 0.0
-            position = q * (len(samples) - 1)
-            low = int(position)
-            high = min(low + 1, len(samples) - 1)
-            frac = position - low
-            return samples[low] * (1.0 - frac) + samples[high] * frac
+            return _interpolate(self._sorted, q)
 
     @property
     def p50(self) -> float:
@@ -207,16 +287,31 @@ class Histogram(_Metric):
         return self.quantile(0.99)
 
     def snapshot(self) -> dict:
+        """Lifetime and window views, read under one lock acquisition."""
+        with self._lock:
+            self._ring.advance(self._clear)
+            window = sorted(chain.from_iterable(self._window))
+            count, total = self._count, self._sum
+            lifetime_q = [_interpolate(self._sorted, q) for q in _QUANTILES]
+            window_q = [_interpolate(window, q) for q in _QUANTILES]
+            window_count = sum(self._window_counts)
+            window_sum = sum(self._window_sums)
         return {
             "kind": self.kind,
             "name": self.name,
             "labels": self.label_dict,
-            "count": self._count,
-            "sum": self._sum,
-            "mean": self.mean,
-            "p50": self.p50,
-            "p95": self.p95,
-            "p99": self.p99,
+            "count": count,
+            "sum": total,
+            "mean": total / count if count else 0.0,
+            "p50": lifetime_q[0],
+            "p95": lifetime_q[1],
+            "p99": lifetime_q[2],
+            "window_s": self._ring.window_s,
+            "window_count": window_count,
+            "window_sum": window_sum,
+            "window_p50": window_q[0],
+            "window_p95": window_q[1],
+            "window_p99": window_q[2],
         }
 
 
@@ -243,11 +338,7 @@ class MetricsRegistry:
             if metric is not None:
                 return metric
             for kind, existing_name, _ in self._series:
-                if (
-                    existing_name == name
-                    and kind != cls.kind
-                    and frozenset((kind, cls.kind)) not in _COMPATIBLE_KINDS
-                ):
+                if existing_name == name and kind != cls.kind:
                     raise ValueError(
                         f"metric {name!r} already registered as a {kind}, "
                         f"cannot re-register as a {cls.kind}"
@@ -306,23 +397,11 @@ class MetricsRegistry:
     def histogram(self, name: str, **labels) -> Histogram:
         return self._get_or_create(Histogram, name, labels)
 
-    def windowed_histogram(self, name: str, **labels):
-        """Sliding-window histogram series (see :mod:`repro.obs.windows`)."""
-        from .windows import WindowedHistogram
-
-        return self._get_or_create(WindowedHistogram, name, labels)
-
     def windowed_counter(self, name: str, **labels):
         """Sliding-window event counter series."""
         from .windows import WindowedCounter
 
         return self._get_or_create(WindowedCounter, name, labels)
-
-    def meter(self, name: str, **labels):
-        """EWMA rate meter series (events/second at 1m/5m/15m)."""
-        from .windows import EwmaMeter
-
-        return self._get_or_create(EwmaMeter, name, labels)
 
     def collect(self) -> list[dict]:
         """Point-in-time snapshot of every series, sorted by (name, labels)."""

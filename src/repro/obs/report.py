@@ -12,7 +12,8 @@ Sections (each skipped when the log has no matching events):
 - slowest spans — ``span`` summary events sorted by total time;
 - top autograd ops — ``autograd.op`` events sorted by total time;
 - SLO status — last ``obs.slo.*`` gauges plus any ``slo.alert`` events;
-- windowed percentiles — recent p50/p95/p99 per windowed histogram;
+- windowed percentiles — recent p50/p95/p99 per histogram (its
+  ``window_*`` fields);
 - profiler hot stacks — ``profiler.stack`` events by sample share.
 
 Programmatic entry points: :func:`render_report` on already-loaded records,
@@ -141,17 +142,19 @@ def render_report(records: list[dict], top: int = 10) -> str:
     windowed = [
         r
         for r in records
-        if r.get("event") == "metric" and r.get("kind") == "windowed_histogram"
+        if r.get("event") == "metric"
+        and r.get("kind") == "histogram"
+        and "window_count" in r
     ]
     if windowed:
         rows = [
             {
                 "metric": _series_label(r),
-                "window": f"{r.get('window_s', 0):g}s",
-                "count": r.get("count", 0),
-                "p50": r.get("p50", 0.0),
-                "p95": r.get("p95", 0.0),
-                "p99": r.get("p99", 0.0),
+                "window": f"{r['window_s']:g}s",
+                "count": r["window_count"],
+                "p50": r["window_p50"],
+                "p95": r["window_p95"],
+                "p99": r["window_p99"],
             }
             for r in windowed
         ]

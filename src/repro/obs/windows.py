@@ -1,257 +1,29 @@
-"""Windowed metrics: sliding-window histograms, counters, and EWMA meters.
+"""Windowed event counts, and the retired opt-in switch for windowed metrics.
 
-The PR 1 registry metrics are *cumulative* — ``rerank.latency_ms`` reports
-p95 since process start, which is useless for a serving process that has
-been up for a week.  This module adds time-windowed primitives:
-
-- :class:`WindowedHistogram` — a ring of sub-window sample sketches; a
-  quantile read merges the sub-windows that still fall inside the sliding
-  window, so ``p99`` always describes (roughly) the last ``window_s``
-  seconds.  Sub-window granularity bounds the approximation: the effective
-  window wobbles by at most one sub-window span.
-- :class:`WindowedCounter` — good/bad event counts over the same ring,
-  the input to SLO burn rates (:mod:`repro.obs.slo`).
-- :class:`EwmaMeter` — exponentially-weighted event rates at several time
-  constants (1m/5m/15m by default), Coda-Hale style: rates tick forward
-  in fixed intervals and decay toward the instantaneous rate.
-
-All three take an injectable ``clock`` (``time.monotonic`` by default) so
-window expiry and EWMA decay are unit-testable without sleeping.
-
-Built-in instrumentation (trainer, evaluation, re-rankers, the resilience
-layer) records through the module-level :func:`observe` / :func:`mark`
-helpers, which are **opt-in**: until :func:`enable_windowed` is called
-they cost one global load and a branch — the disabled path is gated <5%
-by ``benchmarks/bench_obs_overhead.py`` alongside the rest of the layer.
-Directly-constructed instances (and registry lookups) always record.
+Latency and size distributions need no separate windowed type: every
+registry :class:`~repro.obs.metrics.Histogram` carries its own sliding
+window (see its ``window_*`` snapshot fields).  This module keeps
+:class:`WindowedCounter` — good/bad event counts over a sub-window ring,
+the input to SLO burn rates (:mod:`repro.obs.slo`) — which takes an
+injectable ``clock`` (``time.monotonic`` by default) so window expiry is
+unit-testable without sleeping.
 """
 
 from __future__ import annotations
 
-import math
-import threading
 import time
-from contextlib import contextmanager
 
-from .metrics import Labels, _Metric
+from .metrics import Labels, _Metric, _Ring
 
-__all__ = [
-    "WindowedHistogram",
-    "WindowedCounter",
-    "EwmaMeter",
-    "enable_windowed",
-    "disable_windowed",
-    "windowed_enabled",
-    "windowed_metrics",
-    "observe",
-    "mark",
-]
-
-_ENABLED = False
+__all__ = ["WindowedCounter", "enable_windowed"]
 
 
 def enable_windowed() -> None:
-    """Turn on the built-in windowed instrumentation (idempotent)."""
-    global _ENABLED
-    _ENABLED = True
+    """No-op: windowed percentiles are always on in every ``Histogram``.
 
-
-def disable_windowed() -> None:
-    """Turn the built-in windowed instrumentation back off."""
-    global _ENABLED
-    _ENABLED = False
-
-
-def windowed_enabled() -> bool:
-    return _ENABLED
-
-
-@contextmanager
-def windowed_metrics():
-    """Enable windowed instrumentation for a block, restoring the old state."""
-    previous = _ENABLED
-    enable_windowed()
-    try:
-        yield
-    finally:
-        if not previous:
-            disable_windowed()
-
-
-def observe(name: str, value: float, **labels) -> None:
-    """Record into the registry's windowed histogram ``name`` — if enabled.
-
-    This is the hook instrumented library code calls on hot paths; the
-    disabled cost is one module-global load and a branch.
+    Kept callable because the repository benchmark's serving workloads
+    (``perfbench/workloads.py``) still call it before they start.
     """
-    if not _ENABLED:
-        return
-    from .metrics import get_registry
-
-    get_registry().windowed_histogram(name, **labels).observe(value)
-
-
-def mark(name: str, count: float = 1.0, **labels) -> None:
-    """Mark events on the registry's EWMA meter ``name`` — if enabled."""
-    if not _ENABLED:
-        return
-    from .metrics import get_registry
-
-    get_registry().meter(name, **labels).mark(count)
-
-
-class _Ring:
-    """Shared sub-window ring arithmetic (no locking — owners lock)."""
-
-    def __init__(self, window_s: float, buckets: int, clock) -> None:
-        if window_s <= 0:
-            raise ValueError("window_s must be positive")
-        if buckets < 1:
-            raise ValueError("buckets must be >= 1")
-        self.window_s = float(window_s)
-        self.buckets = buckets
-        self.span_s = self.window_s / buckets
-        self.clock = clock
-        # One spare slot so the *filling* sub-window never evicts a live one.
-        self.slots = buckets + 1
-        self.tick = self._tick_now()
-
-    def _tick_now(self) -> int:
-        return int(self.clock() / self.span_s)
-
-    def advance(self, clear) -> int:
-        """Move to the current tick, calling ``clear(slot)`` on expired slots.
-
-        Returns the slot index of the current (filling) sub-window.
-        """
-        now_tick = self._tick_now()
-        if now_tick != self.tick:
-            steps = min(now_tick - self.tick, self.slots)
-            for offset in range(1, steps + 1):
-                clear((self.tick + offset) % self.slots)
-            self.tick = now_tick
-        return self.tick % self.slots
-
-    def live_slots(self) -> list[int]:
-        """Slot indices still inside the window, oldest first (incl. current)."""
-        return [
-            (self.tick - age) % self.slots for age in range(self.buckets, -1, -1)
-        ]
-
-
-class WindowedHistogram(_Metric):
-    """Sliding-window sample distribution with merged quantile reads.
-
-    Samples land in the current sub-window; reads merge the ``buckets + 1``
-    live sub-windows, so the reported window covers between ``window_s``
-    and ``window_s + window_s/buckets`` seconds of arrivals.  Each
-    sub-window keeps at most ``max_samples_per_bucket`` samples (count and
-    sum stay exact; quantiles degrade gracefully via every-other
-    decimation, same policy as the cumulative :class:`~.metrics.Histogram`).
-    """
-
-    kind = "windowed_histogram"
-
-    def __init__(
-        self,
-        name: str,
-        labels: Labels = (),
-        window_s: float = 60.0,
-        buckets: int = 6,
-        max_samples_per_bucket: int = 4096,
-        clock=time.monotonic,
-    ) -> None:
-        super().__init__(name, labels)
-        self._ring = _Ring(window_s, buckets, clock)
-        self._max_per_bucket = max_samples_per_bucket
-        self._samples: list[list[float]] = [[] for _ in range(self._ring.slots)]
-        self._counts = [0] * self._ring.slots
-        self._sums = [0.0] * self._ring.slots
-        self.window_s = self._ring.window_s
-
-    def _clear(self, slot: int) -> None:
-        self._samples[slot] = []
-        self._counts[slot] = 0
-        self._sums[slot] = 0.0
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        with self._lock:
-            slot = self._ring.advance(self._clear)
-            bucket = self._samples[slot]
-            if len(bucket) >= self._max_per_bucket:
-                self._samples[slot] = bucket = bucket[::2]
-            bucket.append(value)
-            self._counts[slot] += 1
-            self._sums[slot] += value
-
-    def _merged(self) -> list[float]:
-        self._ring.advance(self._clear)
-        merged: list[float] = []
-        for slot in self._ring.live_slots():
-            merged.extend(self._samples[slot])
-        merged.sort()
-        return merged
-
-    @property
-    def count(self) -> int:
-        """Number of samples observed inside the current window."""
-        with self._lock:
-            self._ring.advance(self._clear)
-            return sum(self._counts)
-
-    @property
-    def sum(self) -> float:
-        with self._lock:
-            self._ring.advance(self._clear)
-            return sum(self._sums)
-
-    @property
-    def mean(self) -> float:
-        with self._lock:
-            self._ring.advance(self._clear)
-            count = sum(self._counts)
-            return sum(self._sums) / count if count else 0.0
-
-    def quantile(self, q: float) -> float:
-        """Linear-interpolated quantile of the samples inside the window."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("quantile must be in [0, 1]")
-        with self._lock:
-            samples = self._merged()
-        if not samples:
-            return 0.0
-        position = q * (len(samples) - 1)
-        low = int(position)
-        high = min(low + 1, len(samples) - 1)
-        frac = position - low
-        return samples[low] * (1.0 - frac) + samples[high] * frac
-
-    @property
-    def p50(self) -> float:
-        return self.quantile(0.50)
-
-    @property
-    def p95(self) -> float:
-        return self.quantile(0.95)
-
-    @property
-    def p99(self) -> float:
-        return self.quantile(0.99)
-
-    def snapshot(self) -> dict:
-        return {
-            "kind": self.kind,
-            "name": self.name,
-            "labels": self.label_dict,
-            "window_s": self.window_s,
-            "count": self.count,
-            "sum": self.sum,
-            "mean": self.mean,
-            "p50": self.p50,
-            "p95": self.p95,
-            "p99": self.p99,
-        }
 
 
 class WindowedCounter(_Metric):
@@ -304,99 +76,3 @@ class WindowedCounter(_Metric):
             "total": self.total,
             "lifetime_total": self._lifetime,
         }
-
-
-class EwmaMeter(_Metric):
-    """Exponentially-weighted event rates at several time constants.
-
-    ``mark(n)`` records events; :meth:`rate` reports events/second decayed
-    with ``alpha = 1 - exp(-tick_s / tau)`` per ``tick_s`` interval — the
-    same update Coda-Hale meters (and UNIX load averages) use.  Until the
-    first full tick elapses, the rate is the lifetime mean rate, so short
-    tests and fresh meters read sensibly.
-    """
-
-    kind = "meter"
-
-    def __init__(
-        self,
-        name: str,
-        labels: Labels = (),
-        taus: tuple[float, ...] = (60.0, 300.0, 900.0),
-        tick_s: float = 5.0,
-        clock=time.monotonic,
-    ) -> None:
-        if not taus or any(tau <= 0 for tau in taus):
-            raise ValueError("taus must be positive")
-        super().__init__(name, labels)
-        self.taus = tuple(float(t) for t in taus)
-        self.tick_s = float(tick_s)
-        self._clock = clock
-        self._alphas = [1.0 - math.exp(-self.tick_s / tau) for tau in self.taus]
-        self._rates = [0.0] * len(self.taus)
-        self._primed = False
-        self._pending = 0.0
-        self._count = 0.0
-        self._started = clock()
-        self._last_tick = self._started
-
-    def _advance(self) -> None:
-        now = self._clock()
-        elapsed = now - self._last_tick
-        if elapsed < self.tick_s:
-            return
-        ticks = int(elapsed / self.tick_s)
-        instant = self._pending / self.tick_s
-        self._pending = 0.0
-        for index, alpha in enumerate(self._alphas):
-            if not self._primed:
-                self._rates[index] = instant
-            else:
-                self._rates[index] += alpha * (instant - self._rates[index])
-        if ticks > 1:
-            for index, alpha in enumerate(self._alphas):
-                self._rates[index] *= (1.0 - alpha) ** (ticks - 1)
-        self._primed = True
-        self._last_tick += ticks * self.tick_s
-
-    def mark(self, count: float = 1.0) -> None:
-        with self._lock:
-            self._advance()
-            self._pending += count
-            self._count += count
-
-    @property
-    def count(self) -> float:
-        return self._count
-
-    def mean_rate(self) -> float:
-        elapsed = self._clock() - self._started
-        return self._count / elapsed if elapsed > 0 else 0.0
-
-    def rate(self, tau: float | None = None) -> float:
-        """EWMA events/second for ``tau`` (the shortest configured default)."""
-        tau = float(tau) if tau is not None else self.taus[0]
-        try:
-            index = self.taus.index(tau)
-        except ValueError:
-            raise ValueError(f"tau {tau} not configured (have {self.taus})")
-        with self._lock:
-            self._advance()
-            if not self._primed:
-                return self.mean_rate()
-            return self._rates[index]
-
-    def rates(self) -> dict[float, float]:
-        return {tau: self.rate(tau) for tau in self.taus}
-
-    def snapshot(self) -> dict:
-        snap = {
-            "kind": self.kind,
-            "name": self.name,
-            "labels": self.label_dict,
-            "count": self._count,
-            "mean_rate_per_s": self.mean_rate(),
-        }
-        for tau in self.taus:
-            snap[f"rate_{int(tau)}s_per_s"] = self.rate(tau)
-        return snap

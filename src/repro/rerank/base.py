@@ -21,7 +21,6 @@ from ..data.batching import RerankBatch
 from ..data.schema import Catalog, Population, RankingRequest
 from ..nn import inference as _nn_inference
 from ..obs import get_registry
-from ..obs import windows as _windows
 
 # The module object itself, not the re-exported ``chaos()`` context manager
 # that shadows it on the package namespace.
@@ -78,10 +77,6 @@ def _timed_rerank(fn):
                 get_registry().counter(
                     "rerank.dispatch", mode=mode, reranker=name
                 ).inc()
-                # Windowed twin (recent p50/p95/p99) + request-rate meter;
-                # both no-ops unless windowed metrics are enabled.
-                _windows.observe("rerank.latency_ms", elapsed_ms, reranker=name)
-                _windows.mark("rerank.requests", reranker=name)
 
     wrapper._obs_timed = True
     return wrapper

@@ -17,7 +17,7 @@ from .. import nn
 from ..data.batching import RerankBatch, iterate_batches, normalized_initial_scores
 from ..data.schema import Catalog, Population, RankingRequest
 from ..nn import Tensor
-from ..utils.timer import Timings
+from ..obs import Histogram
 from .base import Reranker
 
 __all__ = ["NeuralReranker", "list_input_features", "normalized_initial_scores"]
@@ -107,7 +107,7 @@ class NeuralReranker(Reranker):
         catalog: Catalog,
         population: Population,
         histories: list[np.ndarray],
-        timings: Timings | None = None,
+        timings: Histogram | None = None,
     ) -> "NeuralReranker":
         if self.loss not in _LOSSES:
             raise ValueError(f"unknown loss {self.loss!r}")
@@ -142,7 +142,7 @@ class NeuralReranker(Reranker):
                 nn.clip_grad_norm(self.network.parameters(), self.grad_clip)
                 optimizer.step()
                 if timings is not None:
-                    timings.add(_time.perf_counter() - start)
+                    timings.observe(1000.0 * (_time.perf_counter() - start))
                 epoch_losses.append(loss.item())
             self.training_losses.append(float(np.mean(epoch_losses)))
         return self

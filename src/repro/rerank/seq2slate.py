@@ -211,7 +211,7 @@ class Seq2SlateReranker(NeuralReranker):
                 nn.clip_grad_norm(self.network.parameters(), self.grad_clip)
                 optimizer.step()
                 if timings is not None:
-                    timings.add(_time.perf_counter() - start)
+                    timings.observe(1000.0 * (_time.perf_counter() - start))
                 epoch_losses.append(loss.item())
             self.training_losses.append(float(np.mean(epoch_losses)))
         return self

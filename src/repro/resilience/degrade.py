@@ -25,7 +25,9 @@ request with *some* valid slate.  :class:`ResilientReranker` wraps any
 Every stage's answer is validated (shape + per-row permutation) before
 being served, so a buggy model returning garbage degrades instead of
 propagating.  Telemetry: ``resilience.requests{reranker=}`` /
+``resilience.degraded{reranker=}`` /
 ``resilience.fallbacks{reranker=,to=,reason=}`` counters, the
+``resilience.request_ms{reranker=}`` end-to-end latency histogram, the
 ``resilience.breaker_state{breaker=}`` gauge (0 closed, 1 half-open,
 2 open), and ``degrade.fallback`` / ``breaker.transition`` run-log events.
 """
@@ -39,7 +41,6 @@ import numpy as np
 from ..nn import inference as _nn_inference
 from ..nn.module import Module as _NNModule
 from ..obs import get_registry, get_run_logger
-from ..obs import windows as _windows
 from ..rerank.base import Reranker
 from .errors import CircuitOpenError, DeadlineExceeded
 
@@ -288,15 +289,16 @@ class ResilientReranker(Reranker):
     def rerank(self, batch) -> np.ndarray:
         request_start = self._clock()
         result, degraded = self._serve(batch)
-        if self.slo_monitor is not None or _windows.windowed_enabled():
-            elapsed_ms = 1000.0 * (self._clock() - request_start)
-            _windows.observe("resilience.request_ms", elapsed_ms, reranker=self.name)
-            _windows.mark("resilience.request_rate", reranker=self.name)
-            if degraded:
-                _windows.mark("resilience.degraded_rate", reranker=self.name)
-            if self.slo_monitor is not None:
-                self.slo_monitor.record(latency_ms=elapsed_ms, error=degraded)
-                self.slo_monitor.evaluate()
+        elapsed_ms = 1000.0 * (self._clock() - request_start)
+        registry = get_registry()
+        registry.histogram("resilience.request_ms", reranker=self.name).observe(
+            elapsed_ms
+        )
+        if degraded:
+            registry.counter("resilience.degraded", reranker=self.name).inc()
+        if self.slo_monitor is not None:
+            self.slo_monitor.record(latency_ms=elapsed_ms, error=degraded)
+            self.slo_monitor.evaluate()
         return result
 
     def _serve(self, batch) -> "tuple[np.ndarray, bool]":

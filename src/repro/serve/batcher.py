@@ -26,7 +26,7 @@ Rules, in decision order:
    caller sheds load (the service turns this into a rejection or a
    passthrough slate, per policy).
 
-Telemetry: the ``serve.batch_size`` histogram (+ windowed twin), the
+Telemetry: the ``serve.batch_size`` histogram (lifetime and windowed), the
 ``serve.batcher.{submitted,shed}`` counters, and the
 ``serve.batcher.pending`` gauge.
 """
@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Hashable
 
 from ..obs import get_registry
-from ..obs import windows as _windows
 
 __all__ = ["Batch", "BatcherCore", "QueueFullError"]
 
@@ -194,5 +193,4 @@ class BatcherCore:
         for batch in released:
             self._pending -= batch.size
             registry.histogram("serve.batch_size").observe(batch.size)
-            _windows.observe("serve.batch_size", batch.size)
         registry.gauge("serve.batcher.pending").set(self._pending)

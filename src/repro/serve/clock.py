@@ -5,10 +5,11 @@ takes a ``clock`` callable returning monotonic seconds — ``time.monotonic``
 in production, a :class:`ManualClock` in tests.  With a manual clock there
 is not a single wall-clock sleep anywhere in the serving test suite: a
 test *advances* time explicitly, so every coalescing-window close, TTL
-expiry, and EWMA decay is a deterministic function of the scripted
-schedule.  This is the same contract the circuit breaker
+expiry, and window roll-over is a deterministic function of the
+scripted schedule.  This is the same contract the circuit breaker
 (:class:`~repro.resilience.degrade.CircuitBreaker`) and the windowed
-metrics (:mod:`repro.obs.windows`) already follow.
+metrics (:mod:`repro.obs.metrics`, :mod:`repro.obs.windows`) already
+follow.
 """
 
 from __future__ import annotations

@@ -19,8 +19,9 @@ travels:
    :class:`~repro.resilience.degrade.ResilientReranker` to get
    deadlines, circuit breaking, and RAPID→MMR→passthrough fallback under
    the service;
-5. **observability** — ``serve.request_ms`` (registry + windowed
-   p50/p95/p99), ``serve.requests{source=}``, the batcher's batch-size
+5. **observability** — the ``serve.request_ms`` histogram (lifetime and
+   windowed p50/p95/p99; its window count over its window length is the
+   request rate), ``serve.requests{source=}``, the batcher's batch-size
    histogram, cache hit counters, and an optional
    :class:`~repro.obs.slo.SLOMonitor` fed every request outcome.
 
@@ -44,7 +45,6 @@ import numpy as np
 from ..data.batching import RerankBatch, build_batch
 from ..data.schema import Catalog, Population, RankingRequest
 from ..obs import get_registry
-from ..obs import windows as _windows
 from ..rerank.base import Reranker
 from ..resilience.degrade import ResilientReranker
 from .batcher import BatcherCore, QueueFullError
@@ -262,8 +262,6 @@ class RerankService:
             get_registry().histogram(
                 "serve.request_ms", tenant=request.tenant
             ).observe(latency_ms)
-            _windows.observe("serve.request_ms", latency_ms, tenant=request.tenant)
-            _windows.mark("serve.request_rate", tenant=request.tenant)
             if self.slo_monitor is not None:
                 self.slo_monitor.record(latency_ms=latency_ms, error=False)
                 self.slo_monitor.evaluate()

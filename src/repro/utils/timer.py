@@ -1,20 +1,15 @@
-"""Wall-clock timing utilities used by the efficiency study (Table VI).
+"""Wall-clock stopwatch.
 
-Both classes are thin shims over ``repro.obs``: new code should record
-straight into the metrics registry (``get_registry().histogram(...)``) or
-open spans with ``repro.obs.trace``; :class:`Timings` remains for the
-pre-observability call sites (``train_rapid(..., timings=...)`` and the
-neural baselines) and is now backed by an observability
-:class:`~repro.obs.metrics.Histogram`, which is where ``p95`` comes from.
+Timing series belong in the metrics registry
+(``get_registry().histogram(...)``) or in spans (``repro.obs.trace``);
+:class:`Stopwatch` is for one-off elapsed-time reads.
 """
 
 from __future__ import annotations
 
 import time
 
-from ..obs.metrics import Histogram
-
-__all__ = ["Stopwatch", "Timings"]
+__all__ = ["Stopwatch"]
 
 
 class Stopwatch:
@@ -37,37 +32,3 @@ class Stopwatch:
         if not self._starts:
             raise RuntimeError("Stopwatch.__exit__ without matching __enter__")
         self.elapsed = time.perf_counter() - self._starts.pop()
-
-
-class Timings:
-    """Accumulates per-batch timings (seconds in, milliseconds out).
-
-    Thin shim over an observability histogram; pass ``histogram`` to share
-    a registry-backed series, e.g.
-    ``Timings(get_registry().histogram("train.batch_ms"))`` — note shared
-    histograms store milliseconds, which is also what :meth:`add` records.
-    """
-
-    def __init__(self, histogram: Histogram | None = None) -> None:
-        self._hist = histogram if histogram is not None else Histogram("timings")
-
-    def add(self, seconds: float) -> None:
-        self._hist.observe(1000.0 * seconds)
-
-    @property
-    def samples(self) -> list[float]:
-        """Observed durations in seconds (pre-shim API)."""
-        return [ms / 1000.0 for ms in self._hist._sorted]
-
-    @property
-    def total_seconds(self) -> float:
-        return self._hist.sum / 1000.0
-
-    @property
-    def mean_ms(self) -> float:
-        return self._hist.mean
-
-    @property
-    def p95(self) -> float:
-        """95th-percentile duration in milliseconds (matches ``mean_ms``)."""
-        return self._hist.p95

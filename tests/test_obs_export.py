@@ -34,24 +34,16 @@ def _populated_registry() -> MetricsRegistry:
     registry.counter("train.batches").inc(3)
     registry.counter("rerank.requests", reranker="mmr").inc(7)
     registry.gauge("obs.slo.state", slo="rerank-latency").set(2)
+    # One histogram renders two families from the same samples: the
+    # lifetime summary and the ``_window`` summary.
     hist = registry.histogram("rerank.latency_ms", reranker="mmr")
+    hist._ring.clock = fake
     for value in (1.0, 2.0, 3.0, 4.0):
         hist.observe(value)
-    # The windowed twin shares the cumulative histogram's name on purpose:
-    # the exposition must keep the families distinct (``_window`` suffix).
-    windowed = registry.windowed_histogram("rerank.latency_ms", reranker="mmr")
-    windowed._ring.clock = fake
-    for value in (5.0, 6.0, 7.0):
-        windowed.observe(value)
     degraded = registry.windowed_counter("resilience.degraded")
     degraded._ring.clock = fake
     degraded.add(2.0)
-    meter = registry.meter("rerank.rate")
-    meter._clock = fake
-    meter._started = fake.now
-    meter._last_tick = fake.now
-    meter.mark(10.0)
-    fake.advance(10.0)  # two meter ticks; window samples all stay live
+    fake.advance(10.0)  # window samples all stay live
     return registry
 
 
@@ -93,10 +85,11 @@ class TestRenderOpenmetrics:
 
     def test_windowed_family_carries_window_label(self):
         registry = MetricsRegistry()
-        registry.windowed_histogram("lat.ms").observe(1.0)
+        registry.histogram("lat.ms").observe(1.0)
         text = render_openmetrics(registry)
+        assert "# TYPE lat_ms summary" in text
         assert "# TYPE lat_ms_window summary" in text
-        assert 'window="60s"' in text
+        assert 'lat_ms_window_count{window="60s"} 1' in text
 
 
 class TestSnapshots:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.obs import windows
+from repro.nn import inference
 from repro.obs.profiler import get_profiler
 
 _BENCH_DIR = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -35,15 +35,9 @@ def bench():
         sys.path.remove(str(_BENCH_DIR))
 
 
-def test_disabled_call_cost_is_measurable(bench):
-    cost = bench.disabled_call_seconds(iterations=5000)
-    assert np.isfinite(cost)
-    assert 0.0 < cost < 1.0  # sane per-call seconds, not a timing gate
-
-
 def test_cycle_obs_leaves_everything_off(bench):
     bench._cycle_obs()
-    assert not windows.windowed_enabled()
+    assert inference._PROFILE_HOOK is None
     profiler = get_profiler()
     assert profiler is None or not profiler.running
 
@@ -62,9 +56,6 @@ def test_measure_reports_structure_and_restores_state(bench, monkeypatch, tmp_pa
         "infer_baseline_ms_per_request",
         "infer_disabled_ms_per_request",
         "infer_disabled_overhead_fraction",
-        "rerank_windowed_ms_per_request",
-        "windowed_enabled_overhead_fraction",
-        "disabled_call_us",
     }
     assert result["train_baseline_ms_per_batch"] > 0.0
     assert result["rerank_baseline_ms_per_request"] > 0.0
@@ -73,7 +64,7 @@ def test_measure_reports_structure_and_restores_state(bench, monkeypatch, tmp_pa
     assert np.isfinite(result["rerank_disabled_overhead_fraction"])
     assert np.isfinite(result["infer_disabled_overhead_fraction"])
     # The bench must leave every opt-in surface off for the rest of the suite.
-    assert not windows.windowed_enabled()
+    assert inference._PROFILE_HOOK is None
 
 
 def test_budget_constant_is_five_percent(bench):

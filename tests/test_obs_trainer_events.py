@@ -259,3 +259,23 @@ class TestObservedRunReport:
         assert "Evaluation results" in report
         reset_registry()
         reset_tracer()
+
+    def test_windowed_percentiles_from_histogram_window_fields(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        with observed_run(path, run_id="window"):
+            hist = get_registry().histogram("serve.request_ms", tenant="a")
+            for value in range(1, 101):
+                hist.observe(float(value))
+        from repro.obs import read_jsonl
+
+        report = render_report(read_jsonl(path))
+        assert "Windowed percentiles (recent, not lifetime)" in report
+        [row] = [
+            line.split()
+            for line in report.splitlines()
+            if line.startswith("serve.request_ms{tenant=a}")
+        ]
+        assert row == [
+            "serve.request_ms{tenant=a}", "60s", "100", "50.500", "95.050", "99.010"
+        ]
+        reset_registry()

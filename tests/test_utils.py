@@ -9,7 +9,6 @@ import pytest
 
 from repro.utils import (
     Stopwatch,
-    Timings,
     check_in_range,
     check_positive,
     check_probability_matrix,
@@ -65,25 +64,6 @@ class TestTimer:
     def test_stopwatch_exit_without_enter(self):
         with pytest.raises(RuntimeError):
             Stopwatch().__exit__(None, None, None)
-
-    def test_timings_statistics(self):
-        timings = Timings()
-        timings.add(0.010)
-        timings.add(0.030)
-        assert timings.total_seconds == pytest.approx(0.04)
-        assert timings.mean_ms == pytest.approx(20.0)
-        assert timings.samples == pytest.approx([0.010, 0.030])
-
-    def test_timings_p95(self):
-        timings = Timings()
-        for ms in range(101):  # 0..100 ms
-            timings.add(ms / 1000.0)
-        assert timings.p95 == pytest.approx(95.0)
-        assert timings.p95 >= timings.mean_ms
-
-    def test_empty_timings(self):
-        assert Timings().mean_ms == 0.0
-        assert Timings().p95 == 0.0
 
 
 class TestValidation:
