@@ -6,11 +6,13 @@ targets — under three interleaved conditions:
 
 - **infer** — the tape-free float32 path (``repro.nn.inference``), the
   serving default;
-- **tape** — ``REPRO_NN_INFER=0``: float64 autograd forward under
-  ``no_grad`` with the fused recurrent kernels (the pre-PR-8 serving path,
-  and the bit-identity reference the golden slates pin);
-- **tape_composed** — ``REPRO_NN_INFER=0`` + ``REPRO_NN_FUSED=0``: the
-  fully composed per-op graph, for the cumulative trajectory across PRs.
+- **tape** — ``inference.use_infer(False)``: float64 autograd forward
+  under ``no_grad`` with the fused recurrent kernels (the pre-PR-8 serving
+  path, and the bit-identity reference the golden slates pin);
+- **tape_composed** — ``use_infer(False)`` + ``kernels.use_fused(False)``:
+  the tape path with the composed per-op recurrent references of
+  ``repro.testing.reference`` swapped in, for the cumulative trajectory
+  across PRs.
 
 All comparisons are interleaved min-of-k (:func:`bench_utils
 .interleaved_min_of_k`): minima isolate the path's own cost, interleaving

@@ -1,6 +1,7 @@
 """Microbenchmarks for the fused recurrent kernels (perf trajectory PR 2).
 
-Times every fused op against the composed-op autograd graph it replaces —
+Times every fused op against the composed-op autograd graph it replaces
+(``repro.testing.reference``, swapped in by ``kernels.use_fused(False)``) —
 same shapes, same parameters, forward **and** backward per iteration — plus
 an end-to-end RAPID train step, and publishes the machine-readable record
 ``BENCH_pr2.json`` (repo root) while appending it to the cross-PR
@@ -24,7 +25,6 @@ import numpy as np
 
 from repro import nn
 from repro.nn import Tensor, kernels
-from repro.nn.layers import recurrent
 
 from bench_utils import publish_benchmark
 
@@ -120,7 +120,7 @@ def bench_lstm_cell(repeats: int) -> dict:
         gates = Tensor(gates_data, requires_grad=True)
         h = Tensor(h_data, requires_grad=True)
         c = Tensor(c_data, requires_grad=True)
-        h_next, c_next = recurrent._lstm_step(gates, h, c, None)
+        h_next, c_next = Tensor.lstm_cell_fused(gates, h, c)
         # Explicit upstream gradient: exercises both output closures
         # without timing a reduction that is identical on both paths.
         (h_next + c_next).backward(ones)
@@ -139,15 +139,15 @@ def bench_gru_cell(repeats: int) -> dict:
         gi = Tensor(gi_data, requires_grad=True)
         gh = Tensor(gh_data, requires_grad=True)
         h = Tensor(h_data, requires_grad=True)
-        recurrent._gru_step(gi, gh, h, None).backward(ones)
+        Tensor.gru_cell_fused(gi, gh, h).backward(ones)
 
     return _compare("gru_cell_fused", step, repeats)
 
 
 # ----------------------------------------------------------------------
 # Step benchmarks (acceptance metric): one timestep of the sequence layer
-# scan — fused scan kernel vs the composed per-step graph the escape hatch
-# restores.  Reported per-step (total layer forward+backward time / T).
+# scan — fused scan kernel vs the composed per-step reference graph.
+# Reported per-step (total layer forward+backward time / T).
 # ----------------------------------------------------------------------
 
 
@@ -270,8 +270,8 @@ def run_all(repeats: int | None = None) -> dict:
         },
         "notes": {
             "lstm_step": "per-timestep cost of the LSTM layer scan "
-            "(total forward+backward time / T); unfused = REPRO_NN_FUSED=0 "
-            "composed per-step graph",
+            "(total forward+backward time / T); unfused = use_fused(False) "
+            "composed per-step reference graph",
             "gru_step": "per-timestep cost of the GRU layer scan",
             "lstm_cell_fused": "isolated single fused cell node vs the "
             "composed cell subgraph, same precomputed gate leaves",

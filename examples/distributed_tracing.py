@@ -110,7 +110,10 @@ def main() -> None:
         if "slo" in line or "resilience" in line:
             print(f"  {line}")
 
-    assert len(pids) == 3, "expected parent + 2 worker processes"
+    # Pool(2) may hand both shards to one worker, so count buffers per
+    # shard and require at least one process besides the parent.
+    assert len(worker_buffers) == len(jobs), "expected one buffer per shard"
+    assert len(pids) >= 2, "expected the parent plus at least one worker"
     assert all(r["trace_id"] == root.trace_id for r in merged)
 
 

@@ -115,7 +115,8 @@ class RapidModel(nn.Module):
         """Ranking scores at inference (UCB for the probabilistic head).
 
         Dispatches to the tape-free float32 path (``repro.nn.inference``)
-        unless ``REPRO_NN_INFER=0``; scores always come back float64.
+        unless a test selects the tape with ``use_infer(False)``; scores
+        always come back float64.
         """
         if inference.infer_enabled():
             scores = self.head.infer_scores(self._infer_features(batch))

@@ -10,11 +10,12 @@ on raw ndarrays in the inference dtype (float32 by default), with weights
 cast — and, for the recurrent cells, gate-reordered — exactly once per
 parameter load and cached against the parameter array's identity.
 
-Escape hatches mirror ``REPRO_NN_FUSED``:
+Serving always takes this path.  Two test-facing selectors remain:
 
-- ``REPRO_NN_INFER=0`` (or :func:`set_infer` / :func:`use_infer`) restores
-  the float64 tape path bit-identically everywhere the serving layer
-  dispatches;
+- :func:`use_infer` (``False``) restores the float64 tape path
+  bit-identically for a block, everywhere the serving layer dispatches —
+  the reference the golden slates and the benchmark's drift check compare
+  against;
 - ``REPRO_NN_INFER_DTYPE=float64`` keeps the tape-free dispatch but runs it
   in double precision (useful for isolating dtype drift from path drift).
 
@@ -47,7 +48,6 @@ import numpy as np
 
 __all__ = [
     "infer_enabled",
-    "set_infer",
     "use_infer",
     "infer_dtype",
     "cached_weights",
@@ -68,35 +68,27 @@ __all__ = [
 ]
 
 # ----------------------------------------------------------------------
-# Escape hatch: REPRO_NN_INFER=0 (env) or set_infer(False) (module flag)
-# restores the autograd tape path everywhere the serving layer dispatches.
+# Tape-path selector for tests: use_infer(False) restores the autograd tape
+# path everywhere the serving layer dispatches.
 # ----------------------------------------------------------------------
 
-_INFER_OVERRIDE: bool | None = None
+_INFER = True
 
 
 def infer_enabled() -> bool:
     """Whether serving code should use the tape-free inference path."""
-    if _INFER_OVERRIDE is not None:
-        return _INFER_OVERRIDE
-    return os.environ.get("REPRO_NN_INFER", "1").lower() not in ("0", "false", "no")
-
-
-def set_infer(value: bool | None) -> None:
-    """Force the inference path on/off; ``None`` restores env-var control."""
-    global _INFER_OVERRIDE
-    _INFER_OVERRIDE = value
+    return _INFER
 
 
 @contextmanager
 def use_infer(value: bool):
     """Temporarily force the inference (or tape) path within a block."""
-    previous = _INFER_OVERRIDE
-    set_infer(value)
+    global _INFER
+    previous, _INFER = _INFER, value
     try:
         yield
     finally:
-        set_infer(previous)
+        _INFER = previous
 
 
 _DTYPE_MEMO: dict[str, np.dtype] = {}
@@ -540,7 +532,6 @@ def register_infer_case(name: str, build) -> None:
 
 
 def _build_lstm_cell_infer_case(rng):
-    from .layers.recurrent import _lstm_step
     from .tensor import Tensor, no_grad
 
     batch, hidden = 3, 4
@@ -551,7 +542,7 @@ def _build_lstm_cell_infer_case(rng):
     def reference(gates_a):
         with no_grad():
             zero = Tensor(np.zeros((batch, hidden)))
-            h_new, _ = _lstm_step(Tensor(gates_a), zero, zero, mask)
+            h_new, _ = Tensor.lstm_cell_fused(Tensor(gates_a), zero, zero, mask)
         return h_new.data
 
     def fast(gates_a):
@@ -566,7 +557,6 @@ def _build_lstm_cell_infer_case(rng):
 
 
 def _build_gru_cell_infer_case(rng):
-    from .layers.recurrent import _gru_step
     from .tensor import Tensor, no_grad
 
     batch, hidden = 3, 4
@@ -578,7 +568,7 @@ def _build_gru_cell_infer_case(rng):
         with no_grad():
             h = Tensor(np.zeros((batch, hidden)))
             gh = Tensor(np.zeros((batch, 3 * hidden)))
-            out = _gru_step(Tensor(gi_a), gh, h, mask)
+            out = Tensor.gru_cell_fused(Tensor(gi_a), gh, h, mask)
         return out.data
 
     def fast(gi_a):

@@ -1,14 +1,14 @@
 """Fused recurrent kernels: single-node LSTM/GRU steps with analytic backward.
 
-The composed-op recurrent cells in ``repro.nn.layers.recurrent`` build ~10
-tiny autograd nodes per timestep (four gate slices, three sigmoids, a tanh,
-and the elementwise state update), each carrying a Python closure and a
-full-array allocation in backward.  The kernels here collapse one whole
-timestep into a single graph node per output: the forward runs the gate
-nonlinearities and state update in vectorized numpy, caches exactly the
-activations the backward needs, and the backward applies the closed-form
-gradient of the full step in one shot.  See DESIGN.md ("Fused recurrent
-kernels") for the equivalence argument.
+A composed-op recurrent cell builds ~10 tiny autograd nodes per timestep
+(four gate slices, three sigmoids, a tanh, and the elementwise state
+update), each carrying a Python closure and a full-array allocation in
+backward.  The kernels here collapse one whole timestep into a single
+graph node per output: the forward runs the gate nonlinearities and state
+update in vectorized numpy, caches exactly the activations the backward
+needs, and the backward applies the closed-form gradient of the full step
+in one shot.  See DESIGN.md ("Fused recurrent kernels") for the
+equivalence argument.
 
 Both kernels fold the padding mask into the step: where ``mask_t`` is
 ``False`` the previous state is carried through unchanged and the incoming
@@ -16,11 +16,14 @@ gradient is routed straight to the previous state, matching the composed
 ``new * keep + old * (1 - keep)`` formulation bit for bit (the mask is 0/1
 so the blend is exact).
 
-The fused path is on by default; set the environment variable
-``REPRO_NN_FUSED=0`` (or call :func:`set_fused`) to fall back to the
-composed-op graph — both paths produce bitwise-identical forward values and
-gradients that agree to ~1e-12 (they differ only in floating-point
-summation order inside backward).
+Production always runs these kernels: the recurrent layers call the
+``Tensor`` ops directly, with no dispatch branch.  The composed-op graph
+they replace lives once, as a test reference in
+:mod:`repro.testing.reference`; :func:`use_fused` swaps it in under the op
+names for a block, which is how the differential oracle, the fuzzer and the
+training-parity tests compare the two.  Forward values are bitwise
+identical and gradients agree to ~1e-12 (they differ only in
+floating-point summation order inside backward).
 
 The ops are registered on :class:`Tensor` via
 :func:`repro.nn.tensor.register_custom_op` so the opt-in op profiler
@@ -30,21 +33,17 @@ The ops are registered on :class:`Tensor` via
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 
 import numpy as np
 
-from .tensor import Tensor, as_tensor, register_custom_op
+from .tensor import Tensor, as_tensor, register_custom_op, restore_ops
 
 __all__ = [
     "lstm_cell_fused",
     "gru_cell_fused",
     "lstm_scan_fused",
     "gru_scan_fused",
-    "time_unbind",
-    "fused_enabled",
-    "set_fused",
     "use_fused",
     "zero_state",
     "ORACLE_CASES",
@@ -52,35 +51,42 @@ __all__ = [
 ]
 
 # ----------------------------------------------------------------------
-# Escape hatch: REPRO_NN_FUSED=0 (env) or set_fused(False) (module flag)
-# falls back to the composed-op graph everywhere the layers dispatch.
+# Reference substitution for tests: use_fused(False) installs the composed
+# graphs of repro.testing.reference under the fused op names.
 # ----------------------------------------------------------------------
 
-_FUSED_OVERRIDE: bool | None = None
+_FUSED_OPS = ("lstm_cell_fused", "gru_cell_fused", "lstm_scan_fused", "gru_scan_fused")
 
-
-def fused_enabled() -> bool:
-    """Whether recurrent layers should use the fused kernels."""
-    if _FUSED_OVERRIDE is not None:
-        return _FUSED_OVERRIDE
-    return os.environ.get("REPRO_NN_FUSED", "1").lower() not in ("0", "false", "no")
-
-
-def set_fused(value: bool | None) -> None:
-    """Force the fused path on/off; ``None`` restores env-var control."""
-    global _FUSED_OVERRIDE
-    _FUSED_OVERRIDE = value
+# Op attributes found on entry to each enclosing use_fused(False) block.
+_OUTSIDE_REFERENCE: list[dict[str, object]] = []
 
 
 @contextmanager
 def use_fused(value: bool):
-    """Temporarily force the fused (or composed) path within a block."""
-    previous = _FUSED_OVERRIDE
-    set_fused(value)
+    """Run the fused kernels (``True``) or the composed references (``False``).
+
+    ``False`` installs :data:`repro.testing.reference.REFERENCE_OPS` under
+    the four op names for the block.  ``True`` inside a ``False`` block puts
+    back what was installed outside the nearest ``False`` block (so a
+    monkeypatched kernel under test stays in place); outside any ``False``
+    block it changes nothing.  Leaving a block restores the attributes it
+    found on entry, also when the block raises.
+    """
+    entry = {name: Tensor.__dict__[name] for name in _FUSED_OPS}
+    if value:
+        if _OUTSIDE_REFERENCE:
+            restore_ops(_OUTSIDE_REFERENCE[-1])
+    else:
+        from ..testing.reference import REFERENCE_OPS
+
+        _OUTSIDE_REFERENCE.append(entry)
+        restore_ops({name: staticmethod(REFERENCE_OPS[name]) for name in _FUSED_OPS})
     try:
         yield
     finally:
-        set_fused(previous)
+        if not value:
+            _OUTSIDE_REFERENCE.pop()
+        restore_ops(entry)
 
 
 # ----------------------------------------------------------------------
@@ -490,61 +496,18 @@ def gru_scan_fused(
     return Tensor._make(outputs, (gi, w_hh), backward)
 
 
-# ----------------------------------------------------------------------
-# Shared-buffer time unbind
-# ----------------------------------------------------------------------
-
-
-def time_unbind(x: Tensor) -> tuple[Tensor, ...]:
-    """Split a (B, T, D) tensor into T (B, D) step tensors.
-
-    The composed equivalent — ``x[:, t, :]`` per step — allocates a
-    full-size (B, T, D) zero array in *every* step's backward and makes the
-    parent sum T of them.  Here all step gradients are written into one
-    shared (B, T, D) buffer which is handed to ``x`` exactly once, after
-    every step closure has run (the "collector" node sits between ``x`` and
-    the steps, so reverse-topological order guarantees it fires last).
-
-    Assumes the graph is backpropagated at most once per forward (true for
-    every layer in this codebase, which build a fresh graph per call).
-    """
-    x = as_tensor(x)
-    steps = x.data.shape[1]
-    if not x.requires_grad:
-        return tuple(Tensor(x.data[:, t]) for t in range(steps))
-    buffer = np.zeros_like(x.data)
-
-    def deliver(grad: np.ndarray) -> None:
-        # ``grad`` is ``buffer``; if a second backward pass already aliased
-        # it into ``x.grad``, the in-place step writes have accumulated.
-        if x.grad is not buffer:
-            x._accumulate_owned(grad)
-
-    collector = Tensor._make(x.data, (x,), deliver)
-
-    def make_step(t: int) -> Tensor:
-        def backward(grad: np.ndarray) -> None:
-            buffer[:, t] += grad
-            collector.grad = buffer
-
-        return Tensor._make(x.data[:, t], (collector,), backward)
-
-    return tuple(make_step(t) for t in range(steps))
-
-
 register_custom_op("lstm_cell_fused", lstm_cell_fused)
 register_custom_op("gru_cell_fused", gru_cell_fused)
 register_custom_op("lstm_scan_fused", lstm_scan_fused)
 register_custom_op("gru_scan_fused", gru_scan_fused)
-register_custom_op("time_unbind", time_unbind)
 
 
 # ----------------------------------------------------------------------
 # Differential-oracle registration.  Every fused kernel registers a case
-# that builds random inputs and a dispatch-sensitive function: run under
-# ``use_fused(True)`` it takes the fused kernel, under ``use_fused(False)``
-# the composed-op graph of ``repro.nn.layers.recurrent``.  The engine in
-# ``repro.testing.oracle`` replays these cases under both paths plus a
+# that builds random inputs and a function calling its ``Tensor`` op: run
+# as is it takes the fused kernel, under ``use_fused(False)`` the composed
+# reference of ``repro.testing.reference``.  The engine in
+# ``repro.testing.oracle`` replays these cases under both plus a
 # finite-difference oracle; register a case here whenever a new fused op
 # lands so it is covered automatically.
 #
@@ -567,8 +530,6 @@ def _step_mask(rng: np.random.Generator, batch: int) -> np.ndarray:
 
 
 def _build_lstm_cell_case(rng):
-    from .layers.recurrent import _lstm_step
-
     batch, hidden = 3, 4
     gates = rng.normal(size=(batch, 4 * hidden)) * 0.8
     h0 = rng.normal(size=(batch, hidden)) * 0.5
@@ -576,14 +537,12 @@ def _build_lstm_cell_case(rng):
     mask = _step_mask(rng, batch)
 
     def fn(gates_t, h_t, c_t):
-        return _lstm_step(gates_t, h_t, c_t, mask)
+        return Tensor.lstm_cell_fused(gates_t, h_t, c_t, mask)
 
     return fn, (gates, h0, c0), ("gates", "h_prev", "c_prev")
 
 
 def _build_gru_cell_case(rng):
-    from .layers.recurrent import _gru_step
-
     batch, hidden = 3, 4
     gi = rng.normal(size=(batch, 3 * hidden)) * 0.8
     gh = rng.normal(size=(batch, 3 * hidden)) * 0.8
@@ -591,7 +550,7 @@ def _build_gru_cell_case(rng):
     mask = _step_mask(rng, batch)
 
     def fn(gi_t, gh_t, h_t):
-        return _gru_step(gi_t, gh_t, h_t, mask)
+        return Tensor.gru_cell_fused(gi_t, gh_t, h_t, mask)
 
     return fn, (gi, gh, h0), ("gi", "gh", "h_prev")
 
@@ -603,48 +562,25 @@ def _scan_mask(rng, batch: int, time: int) -> np.ndarray:
 
 
 def _build_lstm_scan_case(rng):
-    from .layers.recurrent import _lstm_step, _time_steps
-
     batch, time, hidden = 2, 4, 3
     gi = rng.normal(size=(batch, time, 4 * hidden)) * 0.8
     w_hh = rng.normal(size=(4 * hidden, hidden)) * 0.4
     mask = _scan_mask(rng, batch, time)
 
     def fn(gi_t, w_t):
-        if fused_enabled():
-            return Tensor.lstm_scan_fused(gi_t, w_t, mask)
-        steps = _time_steps(gi_t, time)
-        h = zero_state(batch, hidden)
-        c = zero_state(batch, hidden)
-        outputs = []
-        for t in range(time):
-            gates = steps[t] + h @ w_t.T
-            h, c = _lstm_step(gates, h, c, mask[:, t])
-            outputs.append(h)
-        return Tensor.stack(outputs, axis=1)
+        return Tensor.lstm_scan_fused(gi_t, w_t, mask)
 
     return fn, (gi, w_hh), ("gi", "w_hh")
 
 
 def _build_gru_scan_case(rng):
-    from .layers.recurrent import _gru_step, _time_steps
-
     batch, time, hidden = 2, 4, 3
     gi = rng.normal(size=(batch, time, 3 * hidden)) * 0.8
     w_hh = rng.normal(size=(3 * hidden, hidden)) * 0.4
     mask = _scan_mask(rng, batch, time)
 
     def fn(gi_t, w_t):
-        if fused_enabled():
-            return Tensor.gru_scan_fused(gi_t, w_t, mask)
-        steps = _time_steps(gi_t, time)
-        h = zero_state(batch, hidden)
-        outputs = []
-        for t in range(time):
-            gh = h @ w_t.T
-            h = _gru_step(steps[t], gh, h, mask[:, t])
-            outputs.append(h)
-        return Tensor.stack(outputs, axis=1)
+        return Tensor.gru_scan_fused(gi_t, w_t, mask)
 
     return fn, (gi, w_hh), ("gi", "w_hh")
 

@@ -6,10 +6,11 @@ DLCM uses a GRU.  All cells follow the standard Hochreiter-Schmidhuber / Cho
 formulations with orthogonal recurrent and Xavier input weights.
 
 Hot-path structure: the input projection ``x W_ih^T + b`` for *all*
-timesteps is computed in one batched matmul outside the time loop, and each
-step then runs as a single fused autograd node (``repro.nn.kernels``)
-instead of ~10 composed elementwise ops.  Set ``REPRO_NN_FUSED=0`` to fall
-back to the composed-op graph; both paths produce identical values.
+timesteps is computed in one batched matmul, and the whole recurrence then
+runs as a single fused autograd node (``repro.nn.kernels``); a bare cell
+call is one fused step.  The composed-op graph these kernels replace is a
+test reference in ``repro.testing.reference``, swapped in by
+``kernels.use_fused(False)``.
 """
 
 from __future__ import annotations
@@ -21,59 +22,6 @@ from ..module import Module, Parameter
 from ..tensor import Tensor
 
 __all__ = ["LSTMCell", "GRUCell", "LSTM", "GRU", "BiLSTM"]
-
-
-def _apply_mask_step(
-    new: Tensor, old: Tensor, mask_t: np.ndarray | None
-) -> Tensor:
-    """Keep the previous state where ``mask_t`` marks padding (False)."""
-    if mask_t is None:
-        return new
-    keep = mask_t.astype(np.float64)[:, None]
-    return new * Tensor(keep) + old * Tensor(1.0 - keep)
-
-
-def _time_steps(gi: Tensor, time: int) -> tuple[Tensor, ...]:
-    """Per-timestep slices of the batched input projection (composed
-    fallback; the fused path hands ``gi`` whole to the scan kernels).
-
-    Custom step-by-step loops over a batched projection should prefer
-    :func:`repro.nn.kernels.time_unbind`, which shares one gradient buffer
-    across all step slices instead of scattering a full-size array each.
-    """
-    return tuple(gi[:, t, :] for t in range(time))
-
-
-def _lstm_step(
-    gates: Tensor, h: Tensor, c: Tensor, mask_t: np.ndarray | None
-) -> tuple[Tensor, Tensor]:
-    """One LSTM state update from pre-activation ``gates`` (fused or composed)."""
-    if kernels.fused_enabled():
-        return Tensor.lstm_cell_fused(gates, h, c, mask_t)
-    hs = gates.shape[-1] // 4
-    i = gates[:, :hs].sigmoid()
-    f = gates[:, hs : 2 * hs].sigmoid()
-    g = gates[:, 2 * hs : 3 * hs].tanh()
-    o = gates[:, 3 * hs :].sigmoid()
-    c_next = f * c + i * g
-    h_next = o * c_next.tanh()
-    return (
-        _apply_mask_step(h_next, h, mask_t),
-        _apply_mask_step(c_next, c, mask_t),
-    )
-
-
-def _gru_step(
-    gi: Tensor, gh: Tensor, h: Tensor, mask_t: np.ndarray | None
-) -> Tensor:
-    """One GRU state update from pre-activations ``gi``/``gh`` (fused or composed)."""
-    if kernels.fused_enabled():
-        return Tensor.gru_cell_fused(gi, gh, h, mask_t)
-    hs = gi.shape[-1] // 3
-    r = (gi[:, :hs] + gh[:, :hs]).sigmoid()
-    z = (gi[:, hs : 2 * hs] + gh[:, hs : 2 * hs]).sigmoid()
-    n = (gi[:, 2 * hs :] + r * gh[:, 2 * hs :]).tanh()
-    return _apply_mask_step((1.0 - z) * n + z * h, h, mask_t)
 
 
 class LSTMCell(Module):
@@ -110,7 +58,7 @@ class LSTMCell(Module):
         else:
             h, c = state
         gates = x @ self.w_ih.T + h @ self.w_hh.T + self.bias
-        return _lstm_step(gates, h, c, None)
+        return Tensor.lstm_cell_fused(gates, h, c)
 
 
 class GRUCell(Module):
@@ -141,7 +89,7 @@ class GRUCell(Module):
             h = kernels.zero_state(batch, self.hidden_size)
         gi = x @ self.w_ih.T + self.bias
         gh = h @ self.w_hh.T
-        return _gru_step(gi, gh, h, None)
+        return Tensor.gru_cell_fused(gi, gh, h)
 
 
 class LSTM(Module):
@@ -152,8 +100,8 @@ class LSTM(Module):
     the last *valid* input — this is how RAPID takes ``t_j = z_{j,D}`` for
     variable-length topical behavior sequences.
 
-    The input projection for every timestep is one batched matmul; only the
-    recurrent matmul and the (fused) gate update run inside the time loop.
+    The input projection for every timestep is one batched matmul; the
+    recurrence itself is one fused scan node.
     """
 
     def __init__(
@@ -175,19 +123,8 @@ class LSTM(Module):
         gi = (
             x.reshape(batch * time, features) @ cell.w_ih.T + cell.bias
         ).reshape(batch, time, 4 * self.hidden_size)
-        if kernels.fused_enabled():
-            outputs = Tensor.lstm_scan_fused(gi, cell.w_hh, mask)
-            return outputs, outputs[:, -1, :]
-        steps = _time_steps(gi, time)
-        h = kernels.zero_state(batch, self.hidden_size)
-        c = kernels.zero_state(batch, self.hidden_size)
-        outputs: list[Tensor] = []
-        for t in range(time):
-            mask_t = mask[:, t] if mask is not None else None
-            gates = steps[t] + h @ cell.w_hh.T
-            h, c = _lstm_step(gates, h, c, mask_t)
-            outputs.append(h)
-        return Tensor.stack(outputs, axis=1), h
+        outputs = Tensor.lstm_scan_fused(gi, cell.w_hh, mask)
+        return outputs, outputs[:, -1, :]
 
     def infer(
         self, x: np.ndarray, mask: np.ndarray | None = None
@@ -220,18 +157,8 @@ class GRU(Module):
         gi = (
             x.reshape(batch * time, features) @ cell.w_ih.T + cell.bias
         ).reshape(batch, time, 3 * self.hidden_size)
-        if kernels.fused_enabled():
-            outputs = Tensor.gru_scan_fused(gi, cell.w_hh, mask)
-            return outputs, outputs[:, -1, :]
-        steps = _time_steps(gi, time)
-        h = kernels.zero_state(batch, self.hidden_size)
-        outputs: list[Tensor] = []
-        for t in range(time):
-            mask_t = mask[:, t] if mask is not None else None
-            gh = h @ cell.w_hh.T
-            h = _gru_step(steps[t], gh, h, mask_t)
-            outputs.append(h)
-        return Tensor.stack(outputs, axis=1), h
+        outputs = Tensor.gru_scan_fused(gi, cell.w_hh, mask)
+        return outputs, outputs[:, -1, :]
 
     def infer(
         self, x: np.ndarray, mask: np.ndarray | None = None

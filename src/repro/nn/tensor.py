@@ -806,7 +806,9 @@ def op_function(name: str) -> tuple[Callable, bool]:
 
     This is the dispatch surface shared by every op-level instrumentation
     layer (the ``repro.obs.autograd`` profiler and the
-    ``repro.testing.sanitize`` numerical sanitizer): hooks read the current
+    ``repro.testing.sanitize`` numerical sanitizer) and by
+    ``repro.nn.kernels.use_fused``, which swaps test references in under
+    the fused op names: hooks read the current
     attribute — which may already be another layer's wrapper, so stacked
     instrumentation composes — and re-install it via
     :func:`install_op_wrappers` / :func:`restore_ops`.
@@ -835,7 +837,8 @@ def install_op_wrappers(
 
 
 def restore_ops(originals: dict[str, object]) -> None:
-    """Re-install the raw attributes captured by :func:`install_op_wrappers`."""
+    """Install raw ``Tensor`` attributes by name, e.g. those captured by
+    :func:`install_op_wrappers`."""
     for name, original in originals.items():
         setattr(Tensor, name, original)
 

@@ -19,7 +19,6 @@ import numpy as np
 
 from ..data.batching import RerankBatch
 from ..data.schema import Catalog, Population, RankingRequest
-from ..nn import inference as _nn_inference
 from ..obs import get_registry
 
 # The module object itself, not the re-exported ``chaos()`` context manager
@@ -73,10 +72,6 @@ def _timed_rerank(fn):
                 get_registry().histogram(
                     "rerank.latency_ms", reranker=name
                 ).observe(elapsed_ms)
-                mode = "infer" if _nn_inference.infer_enabled() else "tape"
-                get_registry().counter(
-                    "rerank.dispatch", mode=mode, reranker=name
-                ).inc()
 
     wrapper._obs_timed = True
     return wrapper

@@ -221,6 +221,9 @@ class ResilientReranker(Reranker):
         )
         self._clock = clock
         self.slo_monitor = slo_monitor
+        # Whether the most recent ``rerank`` was answered by a fallback
+        # stage; the serving cache stores only the primary's slates.
+        self.last_degraded = False
         self.requires_training = getattr(primary, "requires_training", False) or any(
             getattr(f, "requires_training", False) for f in self.fallbacks
         )
@@ -289,6 +292,7 @@ class ResilientReranker(Reranker):
     def rerank(self, batch) -> np.ndarray:
         request_start = self._clock()
         result, degraded = self._serve(batch)
+        self.last_degraded = degraded
         elapsed_ms = 1000.0 * (self._clock() - request_start)
         registry = get_registry()
         registry.histogram("resilience.request_ms", reranker=self.name).observe(

@@ -1,4 +1,4 @@
-"""Slate cache: TTL + LRU over ``(tenant, user, candidate-set)`` keys.
+"""Slate cache: TTL + LRU over ``(tenant, user, identity, candidate-set)`` keys.
 
 A re-ranked slate is a pure function of (model weights, user history,
 candidate list with its initial scores).  Between history updates and
@@ -9,7 +9,10 @@ the two events that change the function:
 
 - ``invalidate_user`` — the user's history changed (the service calls
   this from ``update_history``); every slate cached for that user is
-  dropped, so a stale slate is never served after new feedback arrives;
+  dropped, so a stale slate is never served after new feedback arrives.
+  Entries are indexed by the *feature* user whose history the slate was
+  computed from, so every cache identity aliasing that user (load
+  generators map many virtual users onto one feature user) goes too;
 - ``clear`` — the model changed (``ResilientReranker.swap_primary``
   swaps weights mid-flight; the service clears the tenant's slates).
 
@@ -91,21 +94,26 @@ class SlateCache:
         self._buckets: "OrderedDict[tuple, list[tuple[bytes, _Entry]]]" = (
             OrderedDict()
         )
-        # (tenant, user) -> bucket keys, for invalidation-on-history-update
+        # (tenant, feature user) -> bucket keys, for invalidation on
+        # history update
         self._by_user: dict[tuple, set[tuple]] = {}
 
     # -- keying --------------------------------------------------------
     @staticmethod
-    def _full_key(user_id: int, items, scores, tenant: str) -> bytes:
+    def _full_key(
+        user_id: int, items, scores, tenant: str, identity: int | None = None
+    ) -> bytes:
         """The complete request identity, as canonical bytes.
 
         Initial scores are part of the identity: the same candidate set
         re-scored by the upstream ranker is a different request, and the
         cached slate would be wrong for it.
         """
+        if identity is None:
+            identity = user_id
         items = np.ascontiguousarray(np.asarray(items, dtype=np.int64))
         scores = np.ascontiguousarray(np.asarray(scores, dtype=np.float64))
-        head = f"{tenant}\x00{user_id}\x00{items.size}\x00".encode()
+        head = f"{tenant}\x00{user_id}\x00{identity}\x00{items.size}\x00".encode()
         return head + items.tobytes() + scores.tobytes()
 
     def _bucket_key(self, user_id: int, tenant: str, payload: bytes) -> tuple:
@@ -113,10 +121,19 @@ class SlateCache:
 
     # -- core ops ------------------------------------------------------
     def get(
-        self, user_id: int, items, scores, tenant: str = "default"
+        self,
+        user_id: int,
+        items,
+        scores,
+        tenant: str = "default",
+        identity: int | None = None,
     ) -> np.ndarray | None:
-        """The cached slate for this exact request, or ``None``."""
-        payload = self._full_key(user_id, items, scores, tenant)
+        """The cached slate for this exact request, or ``None``.
+
+        ``user_id`` is the feature user the slate depends on; ``identity``
+        is a distinct cache identity aliasing it (defaults to ``user_id``).
+        """
+        payload = self._full_key(user_id, items, scores, tenant, identity)
         bucket_key = self._bucket_key(user_id, tenant, payload)
         with self._lock:
             chain = self._buckets.get(bucket_key)
@@ -143,10 +160,16 @@ class SlateCache:
             return None
 
     def put(
-        self, user_id: int, items, scores, slate, tenant: str = "default"
+        self,
+        user_id: int,
+        items,
+        scores,
+        slate,
+        tenant: str = "default",
+        identity: int | None = None,
     ) -> None:
         """Cache ``slate`` for this exact request (replaces any prior)."""
-        payload = self._full_key(user_id, items, scores, tenant)
+        payload = self._full_key(user_id, items, scores, tenant, identity)
         bucket_key = self._bucket_key(user_id, tenant, payload)
         entry = _Entry(np.array(slate, copy=True), self._clock())
         with self._lock:
@@ -165,7 +188,7 @@ class SlateCache:
             self._publish_size()
 
     def invalidate_user(self, user_id: int, tenant: str = "default") -> int:
-        """Drop every slate cached for ``user_id`` (history changed)."""
+        """Drop every slate built from ``user_id``'s history, under any identity."""
         with self._lock:
             keys = self._by_user.pop((tenant, user_id), set())
             for bucket_key in keys:

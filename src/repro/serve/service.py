@@ -11,7 +11,10 @@ travels:
    ``"passthrough"`` serves the initial ranking unchanged — degraded but
    valid, the same last-resort slate the resilience layer uses;
 2. **slate cache** — an exact-identity hit (user, candidates, scores,
-   tenant) skips the model entirely;
+   tenant) skips the model entirely.  Only slates the tenant's primary
+   model produced are cached: a fallback answer from a
+   :class:`~repro.resilience.degrade.ResilientReranker` is served once
+   and recomputed on the next request;
 3. **batcher** — requests coalesce by ``(tenant, list_length)`` until
    the group is full or its window expires (:mod:`repro.serve.batcher`);
 4. **batched rerank** — one ``build_batch`` + one ``Reranker.rerank``
@@ -67,10 +70,11 @@ class ServiceOverloaded(RuntimeError):
 class ServeRequest:
     """One user's rerank request as it arrives at the service edge.
 
-    ``cache_user`` is the *identity* used for slate caching and history
-    bookkeeping; it defaults to ``user_id`` but load generators map
-    millions of virtual users onto a finite feature population while
-    keeping distinct cache identities.
+    ``cache_user`` is the *identity* used for slate caching; it defaults
+    to ``user_id`` but load generators map millions of virtual users onto
+    a finite feature population while keeping distinct cache identities.
+    A history update for ``user_id`` invalidates every identity aliasing
+    it.
     """
 
     user_id: int
@@ -199,10 +203,11 @@ class RerankService:
             raise KeyError(f"unknown tenant {request.tenant!r}")
         if self.cache is not None:
             slate = self.cache.get(
-                request.cache_user,
+                request.user_id,
                 request.items,
                 request.initial_scores,
                 tenant=request.tenant,
+                identity=request.cache_user,
             )
             if slate is not None:
                 return self._finish(request, slate, "cache", 1, -1, start)
@@ -217,14 +222,15 @@ class RerankService:
             return self._shed(request, start, error)
         if self._wake is not None:
             self._wake.set()
-        permutation, batch_size = await future
-        if self.cache is not None:
+        permutation, batch_size, degraded = await future
+        if self.cache is not None and not degraded:
             self.cache.put(
-                request.cache_user,
+                request.user_id,
                 request.items,
                 request.initial_scores,
                 permutation,
                 tenant=request.tenant,
+                identity=request.cache_user,
             )
         return self._finish(request, permutation, "batched", batch_size, seq, start)
 
@@ -298,6 +304,7 @@ class RerankService:
             try:
                 rerank_batch = tenant.build([p.request for p in pendings])
                 permutations = tenant.reranker.rerank(rerank_batch)
+                degraded = getattr(tenant.reranker, "last_degraded", False)
             except Exception as error:  # noqa: BLE001 - fail the waiters, not the loop
                 for pending in pendings:
                     if not pending.future.done():
@@ -305,7 +312,9 @@ class RerankService:
                 continue
             for row, pending in enumerate(pendings):
                 if not pending.future.done():
-                    pending.future.set_result((permutations[row], batch.size))
+                    pending.future.set_result(
+                        (permutations[row], batch.size, degraded)
+                    )
             served += batch.size
         return served
 
@@ -362,7 +371,8 @@ class RerankService:
         """Append click/consumption feedback and invalidate cached slates.
 
         The user's next request re-runs the model against the updated
-        history — a stale slate is never served across this boundary.
+        history — a stale slate is never served across this boundary, under
+        any ``cache_user`` identity aliasing ``user_id``.
         """
         serving = self.tenants[tenant]
         new_items = np.asarray(new_items, dtype=np.int64)

@@ -7,9 +7,12 @@ the test suite, the benchmarks, and future PRs one shared vocabulary for
 catching such bugs automatically:
 
 - :mod:`repro.testing.oracle` — differential-testing engine: run any
-  function/Module under the fused and composed (``REPRO_NN_FUSED=0``)
-  dispatch paths plus a central finite-difference oracle, and report
-  max-ulp / relative-error divergence as a structured diff;
+  function/Module on the fused kernels and on their composed references
+  plus a central finite-difference oracle, and report max-ulp /
+  relative-error divergence as a structured diff;
+- :mod:`repro.testing.reference` — the composed-op LSTM/GRU cell and scan
+  graphs the fused kernels replace; ``repro.nn.kernels.use_fused(False)``
+  installs them under the fused op names for a block;
 - :mod:`repro.testing.fuzz` — autograd fuzzer: seeded random programs over
   the Tensor op vocabulary (broadcasting, slicing, reductions, the fused
   recurrent kernels) with greedy shrinking to a minimal reproducing

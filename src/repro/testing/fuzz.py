@@ -6,10 +6,11 @@ The fuzzer generates random straight-line programs over the Tensor op
 vocabulary (elementwise math, broadcasting, slicing, gather, reductions,
 shape ops, concatenation/stacking, ``where``, and the fused recurrent
 kernels registered via ``register_custom_op``) and checks every program
-with the differential oracle: fused vs composed dispatch forward + backward
-agreement, central finite differences as an implementation-independent
-gradient oracle, and bitwise tape-vs-no-tape forward equality (the op
-table's straight-through dispatch must not change a single computed value).
+with the differential oracle: forward + backward agreement of the fused
+kernels with their composed references (``repro.testing.reference``),
+central finite differences as an implementation-independent gradient
+oracle, and bitwise tape-vs-no-tape forward equality (the op table's
+straight-through dispatch must not change a single computed value).
 
 Everything is derived from integer seeds, so a failure is a *value*: the
 :class:`Program` that reproduces it.  :func:`shrink` then greedily deletes
@@ -35,7 +36,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..nn.kernels import fused_enabled, zero_state
 from ..nn.tensor import Tensor
 from .oracle import DiffReport, differential_check
 
@@ -182,8 +182,6 @@ def _op_transpose(t, rng, param):
 
 
 def _op_lstm_cell(t, rng, param):
-    from ..nn.layers.recurrent import _lstm_step
-
     batch, cols = t.shape
     w = Tensor(rng.normal(size=(cols, 4 * _HIDDEN)) * 0.5)
     h0 = Tensor(rng.normal(size=(batch, _HIDDEN)) * 0.5)
@@ -192,13 +190,11 @@ def _op_lstm_cell(t, rng, param):
     if param % 2:
         mask = rng.random(batch) < 0.75
         mask[0] = True
-    h1, c1 = _lstm_step(t @ w, h0, c0, mask)
+    h1, c1 = Tensor.lstm_cell_fused(t @ w, h0, c0, mask)
     return h1 + c1 * 0.5
 
 
 def _op_gru_cell(t, rng, param):
-    from ..nn.layers.recurrent import _gru_step
-
     batch, cols = t.shape
     w_i = Tensor(rng.normal(size=(cols, 3 * _HIDDEN)) * 0.5)
     w_h = Tensor(rng.normal(size=(cols, 3 * _HIDDEN)) * 0.5)
@@ -207,7 +203,7 @@ def _op_gru_cell(t, rng, param):
     if param % 2:
         mask = rng.random(batch) < 0.75
         mask[0] = True
-    return _gru_step(t @ w_i, t @ w_h, h0, mask)
+    return Tensor.gru_cell_fused(t @ w_i, t @ w_h, h0, mask)
 
 
 def _scan_inputs(t, rng, gates_per_step: int):
@@ -224,40 +220,13 @@ def _scan_inputs(t, rng, gates_per_step: int):
 
 
 def _op_lstm_scan(t, rng, param):
-    from ..nn.layers.recurrent import _lstm_step, _time_steps
-
     gi, w_hh, mask = _scan_inputs(t, rng, 4)
-    if fused_enabled():
-        outputs = Tensor.lstm_scan_fused(gi, w_hh, mask)
-        return outputs.mean(axis=1)
-    batch = t.shape[0]
-    steps = _time_steps(gi, _TIME)
-    h = zero_state(batch, _HIDDEN)
-    c = zero_state(batch, _HIDDEN)
-    collected = []
-    for step in range(_TIME):
-        gates = steps[step] + h @ w_hh.T
-        h, c = _lstm_step(gates, h, c, mask[:, step])
-        collected.append(h)
-    return Tensor.stack(collected, axis=1).mean(axis=1)
+    return Tensor.lstm_scan_fused(gi, w_hh, mask).mean(axis=1)
 
 
 def _op_gru_scan(t, rng, param):
-    from ..nn.layers.recurrent import _gru_step, _time_steps
-
     gi, w_hh, mask = _scan_inputs(t, rng, 3)
-    if fused_enabled():
-        outputs = Tensor.gru_scan_fused(gi, w_hh, mask)
-        return outputs.mean(axis=1)
-    batch = t.shape[0]
-    steps = _time_steps(gi, _TIME)
-    h = zero_state(batch, _HIDDEN)
-    collected = []
-    for step in range(_TIME):
-        gh = h @ w_hh.T
-        h = _gru_step(steps[step], gh, h, mask[:, step])
-        collected.append(h)
-    return Tensor.stack(collected, axis=1).mean(axis=1)
+    return Tensor.gru_scan_fused(gi, w_hh, mask).mean(axis=1)
 
 
 OP_VOCABULARY: dict[str, Callable] = {

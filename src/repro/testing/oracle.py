@@ -1,8 +1,9 @@
 """Differential-testing engine for the autograd stack.
 
 The engine answers one question about any differentiable computation: do
-the fused dispatch path, the composed (``REPRO_NN_FUSED=0``) path, and a
-central finite-difference oracle agree on its values and gradients?  Each
+the fused kernels, their composed references (``repro.testing.reference``,
+swapped in by ``use_fused(False)``), and a central finite-difference oracle
+agree on its values and gradients?  Each
 comparison produces a :class:`DiffRow` (max absolute / relative error and
 max ULP distance) and the rows roll up into a :class:`DiffReport` — a
 structured diff that names the op and the quantity that diverged, which is

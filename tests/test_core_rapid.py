@@ -139,6 +139,26 @@ class TestRapidModel:
         b = model.inference_scores(batch)
         assert np.array_equal(a, b)
 
+    def test_inference_scores_ignore_retired_env_switches(
+        self, world_and_batch, monkeypatch
+    ):
+        """Serving takes the tape-free path whatever the environment says."""
+        world, _, _, batch = world_and_batch
+        monkeypatch.setenv("REPRO_NN_FUSED", "0")
+        monkeypatch.setenv("REPRO_NN_INFER", "0")
+        model = RapidModel(_config(world))
+        calls = []
+        infer = model.head.infer_scores
+
+        def spy(features):
+            calls.append(features.dtype)
+            return infer(features)
+
+        monkeypatch.setattr(model.head, "infer_scores", spy)
+        scores = model.inference_scores(batch)
+        assert calls == [np.dtype(np.float32)]
+        assert scores.dtype == np.float64
+
     def test_probabilistic_ucb_exceeds_mean(self, world_and_batch):
         """UCB = sigmoid(mu + sigma) must be >= sigmoid(mu) elementwise."""
         world, _, _, batch = world_and_batch

@@ -1,10 +1,11 @@
-"""Full-pipeline parity: fused vs composed kernels on real RAPID training.
+"""Full-pipeline parity: fused kernels vs composed references on RAPID training.
 
 The per-op oracle (tests/test_testing_oracle.py) proves kernel-level
 agreement; this suite proves it *composes* — three epochs of RAPID
-training on a tiny taobao world must produce the same loss curve under
-``REPRO_NN_FUSED=1`` and ``=0`` to 1e-9, so no fused/composed divergence
-can hide behind optimizer noise.  Plus finite-difference gradchecks for
+training on a tiny taobao world must produce the same loss curve on the
+fused kernels and under ``use_fused(False)`` (the composed references of
+``repro.testing.reference`` swapped in) to 1e-9, so no fused/composed
+divergence can hide behind optimizer noise.  Plus finite-difference gradchecks for
 the layers with bespoke backward paths on their edge shapes.
 """
 

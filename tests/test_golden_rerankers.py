@@ -74,7 +74,7 @@ def fitted_reranker(tiny_bundle):
 @pytest.mark.parametrize("name", MODELS)
 def test_reranker_matches_golden_slate(name, fitted_reranker, golden_batch,
                                        golden_store):
-    # The snapshots pin the float64 tape path: this is the REPRO_NN_INFER=0
+    # The snapshots pin the float64 tape path: this is the use_infer(False)
     # bit-identity contract.  Fast-path parity against the tape path is
     # asserted separately (test_inference_matches_tape_slate below and
     # tests/test_nn_inference.py).

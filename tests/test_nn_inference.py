@@ -1,9 +1,9 @@
 """Tests for the tape-free inference path (``repro.nn.inference``).
 
-Covers the dispatch switches (env var + override + context manager), the
-weight-cast cache contract, layer ``infer`` parity against the tape path
-(bitwise in float64 mode, bounded drift in float32), the differential
-oracle's inference twins, ``no_grad`` reentrancy/thread-safety, and the
+Covers the ``use_infer`` test selector, the weight-cast cache contract,
+layer ``infer`` parity against the tape path (bitwise in float64 mode,
+bounded drift in float32), the differential oracle's inference twins,
+``no_grad`` reentrancy/thread-safety, and the
 ``ResilientReranker.warmup`` hook.
 """
 
@@ -25,43 +25,21 @@ from repro.testing.oracle import (
 )
 
 
-@pytest.fixture(autouse=True)
-def _reset_infer_override():
-    """Tests toggle the module flag; never leak it across tests."""
-    yield
-    inference.set_infer(None)
-
-
 # ----------------------------------------------------------------------
-# Dispatch switches
+# Dispatch selector
 # ----------------------------------------------------------------------
-
-
-def test_infer_enabled_env_var(monkeypatch):
-    inference.set_infer(None)
-    monkeypatch.delenv("REPRO_NN_INFER", raising=False)
-    assert inference.infer_enabled()  # default on
-    for off in ("0", "false", "no", "FALSE"):
-        monkeypatch.setenv("REPRO_NN_INFER", off)
-        assert not inference.infer_enabled()
-    monkeypatch.setenv("REPRO_NN_INFER", "1")
-    assert inference.infer_enabled()
-
-
-def test_set_infer_overrides_env(monkeypatch):
-    monkeypatch.setenv("REPRO_NN_INFER", "0")
-    inference.set_infer(True)
-    assert inference.infer_enabled()
-    inference.set_infer(None)
-    assert not inference.infer_enabled()
 
 
 def test_use_infer_nests_and_restores():
-    inference.set_infer(True)
+    assert inference.infer_enabled()  # serving default
     with inference.use_infer(False):
         assert not inference.infer_enabled()
         with inference.use_infer(True):
             assert inference.infer_enabled()
+        assert not inference.infer_enabled()
+        with pytest.raises(RuntimeError):
+            with inference.use_infer(True):
+                raise RuntimeError("boom")
         assert not inference.infer_enabled()
     assert inference.infer_enabled()
 

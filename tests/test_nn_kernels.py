@@ -1,9 +1,11 @@
-"""Fused recurrent kernel tests: gradchecks, masking, escape hatch, profiler.
+"""Fused recurrent kernel tests: gradchecks, masking, reference swap, profiler.
 
 The fused kernels must be *numerically interchangeable* with the composed-op
 graph: identical forward values (same primitive formulas in the same order)
 and gradients matching to tight tolerance (closed-form backward vs chained
 primitive backwards differ only in floating-point summation order).
+``use_fused(False)`` swaps the composed references of
+``repro.testing.reference`` in under the op names; production has no switch.
 """
 
 from __future__ import annotations
@@ -14,16 +16,14 @@ import pytest
 from repro import nn
 from repro.nn import Tensor, kernels
 from repro.nn.kernels import (
-    fused_enabled,
     gru_cell_fused,
     gru_scan_fused,
     lstm_cell_fused,
     lstm_scan_fused,
-    set_fused,
-    time_unbind,
     use_fused,
     zero_state,
 )
+from repro.testing import reference
 
 
 def _random_case(rng, batch, hidden, factor, scale=1.0):
@@ -312,40 +312,6 @@ class TestScanGradcheck:
             assert np.allclose(grad, numeric, atol=1e-6)
 
 
-class TestTimeUnbind:
-    def test_values_match_getitem_slices(self):
-        x_d = np.random.default_rng(41).normal(size=(3, 4, 5))
-        steps = time_unbind(Tensor(x_d, requires_grad=True))
-        assert len(steps) == 4
-        for t, step in enumerate(steps):
-            assert np.array_equal(step.numpy(), x_d[:, t])
-
-    def test_gradients_match_getitem_graph(self):
-        x_d = np.random.default_rng(43).normal(size=(2, 3, 4))
-
-        def run(split):
-            x = Tensor(x_d, requires_grad=True)
-            steps = split(x)
-            # Skip t=1 entirely: a partially-consumed unbind must still
-            # deliver the shared buffer to the parent.
-            (steps[0].sum() + (steps[2] * 2.0).sum()).backward()
-            return np.asarray(x.grad)
-
-        unbound = run(time_unbind)
-        composed = run(lambda x: tuple(x[:, t, :] for t in range(3)))
-        assert np.array_equal(unbound, composed)
-        expected = np.zeros_like(x_d)
-        expected[:, 0] = 1.0
-        expected[:, 2] = 2.0
-        assert np.array_equal(unbound, expected)
-
-    def test_no_grad_passthrough(self):
-        x = Tensor(np.ones((2, 3, 4)))
-        steps = time_unbind(x)
-        assert all(not step.requires_grad for step in steps)
-        assert np.array_equal(steps[1].numpy(), np.ones((2, 4)))
-
-
 class TestSequenceEquivalence:
     """Whole-layer fused vs composed agreement, including parameters."""
 
@@ -403,25 +369,6 @@ class TestSequenceEquivalence:
 
 
 class TestEscapeHatch:
-    def test_env_var_controls_default(self, monkeypatch):
-        set_fused(None)
-        monkeypatch.setenv("REPRO_NN_FUSED", "0")
-        assert not fused_enabled()
-        monkeypatch.setenv("REPRO_NN_FUSED", "false")
-        assert not fused_enabled()
-        monkeypatch.setenv("REPRO_NN_FUSED", "1")
-        assert fused_enabled()
-        monkeypatch.delenv("REPRO_NN_FUSED")
-        assert fused_enabled()
-
-    def test_module_flag_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NN_FUSED", "0")
-        try:
-            set_fused(True)
-            assert fused_enabled()
-        finally:
-            set_fused(None)
-
     def test_training_losses_identical_across_paths(self, taobao_world):
         """A short real training run must be path-independent (satellite)."""
         from repro.core.rapid import RapidConfig, make_rapid_variant
@@ -463,6 +410,76 @@ class TestEscapeHatch:
         assert np.allclose(losses[True], losses[False], atol=1e-8)
 
 
+_KERNELS = {
+    "lstm_cell_fused": lstm_cell_fused,
+    "gru_cell_fused": gru_cell_fused,
+    "lstm_scan_fused": lstm_scan_fused,
+    "gru_scan_fused": gru_scan_fused,
+}
+
+
+def _installed(name: str):
+    return Tensor.__dict__[name].__func__
+
+
+class TestReferenceSwap:
+    """``use_fused`` selects an implementation by substituting ``Tensor`` ops."""
+
+    def test_false_installs_references_then_restores_kernels(self):
+        with use_fused(False):
+            for name, ref in reference.REFERENCE_OPS.items():
+                assert _installed(name) is ref
+        for name, kernel in _KERNELS.items():
+            assert _installed(name) is kernel
+
+    def test_nesting_and_exception_restore(self):
+        with pytest.raises(RuntimeError, match="boom"):
+            with use_fused(False):
+                with use_fused(True):
+                    for name, kernel in _KERNELS.items():
+                        assert _installed(name) is kernel
+                for name, ref in reference.REFERENCE_OPS.items():
+                    assert _installed(name) is ref
+                with use_fused(True):
+                    raise RuntimeError("boom")
+        for name, kernel in _KERNELS.items():
+            assert _installed(name) is kernel
+
+    def test_monkeypatched_op_survives_true_inside_false(self, monkeypatch):
+        def patched(*args, **kwargs):
+            return lstm_cell_fused(*args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "lstm_cell_fused", staticmethod(patched))
+        with use_fused(True):
+            assert _installed("lstm_cell_fused") is patched
+        with use_fused(False):
+            assert _installed("lstm_cell_fused") is reference.lstm_cell
+            with use_fused(True):
+                assert _installed("lstm_cell_fused") is patched
+                with use_fused(False):
+                    with use_fused(True):
+                        assert _installed("lstm_cell_fused") is patched
+                    assert _installed("lstm_cell_fused") is reference.lstm_cell
+                assert _installed("lstm_cell_fused") is patched
+            assert _installed("lstm_cell_fused") is reference.lstm_cell
+        assert _installed("lstm_cell_fused") is patched
+
+    def test_env_vars_do_not_switch_the_layers(self, monkeypatch):
+        from repro.obs.autograd import op_stats, profile_ops
+
+        monkeypatch.setenv("REPRO_NN_FUSED", "0")
+        monkeypatch.setenv("REPRO_NN_INFER", "0")
+        lstm = nn.LSTM(4, 3, rng=np.random.default_rng(0))
+        x = Tensor(np.random.default_rng(1).normal(size=(2, 5, 4)))
+        assert _installed("lstm_scan_fused") is lstm_scan_fused
+        with profile_ops():
+            outputs, final = lstm(x)
+            (_loss(outputs) + _loss(final)).backward()
+            ops = {row["op"] for row in op_stats()}
+        assert "lstm_scan_fused" in ops
+        assert not ops & {"sigmoid", "tanh", "stack"}
+
+
 class TestZeroStateCache:
     def test_same_object_per_shape(self):
         a = zero_state(4, 3)
@@ -491,7 +508,6 @@ class TestProfilerIntegration:
             "gru_cell_fused",
             "lstm_scan_fused",
             "gru_scan_fused",
-            "time_unbind",
         ):
             assert op in PROFILED_OPS
         assert Tensor.lstm_cell_fused is lstm_cell_fused

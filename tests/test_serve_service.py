@@ -184,6 +184,70 @@ class TestCacheIntegration:
             _direct_slate(world, tenant.histories, rapid, request),
         )
 
+    def test_history_update_invalidates_every_aliased_identity(self, taobao_world):
+        """Virtual users aliasing one feature user all miss after its update."""
+        world = taobao_world
+        histories = world.sample_histories()
+        clock = ManualClock()
+        service = _service(world, histories, _rapid(world), clock)
+        [base] = _requests(world, 1, seed=11)
+        aliases = [
+            ServeRequest(
+                base.user_id, base.items, base.initial_scores, cache_user=identity
+            )
+            for identity in (10_001, 10_002)
+        ]
+
+        async def serve_aliases():
+            results = await asyncio.gather(
+                *(service.rerank(r) for r in aliases), service.drain()
+            )
+            return [r.source for r in results[:-1]]
+
+        async def scenario():
+            first = await serve_aliases()
+            second = [(await service.rerank(r)).source for r in aliases]
+            service.update_history(
+                base.user_id, world.config.num_items - 1 - np.arange(6)
+            )
+            third = await serve_aliases()
+            return first, second, third
+
+        first, second, third = _run(scenario())
+        assert first == ["batched", "batched"]
+        assert second == ["cache", "cache"]
+        assert third == ["batched", "batched"], "aliased identity kept a stale slate"
+
+    def test_fallback_slate_is_served_but_not_cached(self, taobao_world):
+        """A degraded answer is never replayed as a cache hit."""
+        world = taobao_world
+        histories = world.sample_histories()
+        rapid = _rapid(world)
+        # No fallbacks besides the built-in initial-order passthrough.
+        resilient = ResilientReranker(rapid, fallbacks=[], deadline_ms=None)
+        clock = ManualClock()
+        service = _service(world, histories, resilient, clock)
+        [request] = _requests(world, 1, seed=13)
+        primary_slate = _direct_slate(world, histories, rapid, request)
+        passthrough = np.arange(request.list_length)
+        assert not np.array_equal(primary_slate, passthrough)
+
+        async def scenario():
+            with chaos(FaultSpec("rerank.score.rapid-pro", kind="error", times=1)):
+                degraded, _ = await asyncio.gather(
+                    service.rerank(request), service.drain()
+                )
+            again, _ = await asyncio.gather(service.rerank(request), service.drain())
+            hit = await service.rerank(request)
+            return degraded, again, hit
+
+        degraded, again, hit = _run(scenario())
+        np.testing.assert_array_equal(degraded.permutation, passthrough)
+        assert again.source == "batched", "fallback slate was served from cache"
+        np.testing.assert_array_equal(again.permutation, primary_slate)
+        assert hit.source == "cache"
+        np.testing.assert_array_equal(hit.permutation, primary_slate)
+
     def test_ttl_expiry_forces_recompute(self, taobao_world):
         world = taobao_world
         histories = world.sample_histories()

@@ -104,17 +104,20 @@ class TestDifferentialCheck:
         assert "grad[x] fused-vs-composed" in quantities
         assert "grad[w] fused-vs-fd" in quantities
 
-    def test_assert_equivalent_raises_with_structured_message(self):
-        def fn(x):
-            # Gradient depends on the dispatch-path flag: the two paths
-            # genuinely disagree, which is exactly what the oracle exists
-            # to catch.
-            from repro.nn.kernels import fused_enabled
+    def test_assert_equivalent_raises_with_structured_message(self, monkeypatch):
+        # A "kernel" that disagrees with its composed reference: the two
+        # paths genuinely diverge, which is exactly what the oracle exists
+        # to catch.
+        def wrong_kernel(gi, gh, h, mask_t=None):
+            return gi[:, :2] * 2.0
 
-            return x * (2.0 if fused_enabled() else 3.0)
+        monkeypatch.setattr(Tensor, "gru_cell_fused", staticmethod(wrong_kernel))
+
+        def fn(x):
+            return Tensor.gru_cell_fused(x, x * 0.0, Tensor(np.zeros((2, 2))))
 
         with pytest.raises(DivergenceError) as excinfo:
-            assert_equivalent(fn, (np.ones((2, 2)),), name="path-dependent")
+            assert_equivalent(fn, (np.ones((2, 6)),), name="path-dependent")
         message = str(excinfo.value)
         assert "path-dependent" in message
         assert "FAIL" in message
