@@ -8,8 +8,6 @@ Cooperating pieces (each usable alone):
   ``obs.dropped_series``); each histogram reports lifetime p50/p95/p99
   and, from the same samples, a sliding-window view, so long-lived
   serving processes also see *recent* percentiles and event rates;
-- :mod:`repro.obs.windows` — windowed good/bad event counters, the input
-  to SLO burn rates;
 - :mod:`repro.obs.tracing` — nested wall-clock spans via ``trace(name)``
   with trace/span/parent ids, exportable as a text tree or Chrome
   ``trace_event`` JSON;
@@ -101,7 +99,6 @@ from .slo import (
     serving_slo,
 )
 from .tracing import Span, Tracer, get_tracer, reset_tracer, trace
-from .windows import WindowedCounter
 
 __all__ = [
     "Counter",
@@ -110,7 +107,6 @@ __all__ = [
     "MetricsRegistry",
     "get_registry",
     "reset_registry",
-    "WindowedCounter",
     "Span",
     "Tracer",
     "trace",

@@ -90,7 +90,7 @@ def _family_lines(name: str, kind: str, snaps: list[dict]) -> list[str]:
         for snap in snaps:
             labels = _labels_text(snap["labels"])
             lines.append(f"{name}{labels} {_format_value(snap['value'])}")
-    elif kind in ("histogram", "window"):
+    else:  # "histogram", or the "window" family of the same snapshots
         # A histogram snapshot carries both views; the window family reads
         # the ``window_*`` fields of the same snapshot.
         prefix = "window_" if kind == "window" else ""
@@ -107,23 +107,6 @@ def _family_lines(name: str, kind: str, snaps: list[dict]) -> list[str]:
             total, count = snap[prefix + "sum"], snap[prefix + "count"]
             lines.append(f"{name}_sum{labels} {_format_value(total)}")
             lines.append(f"{name}_count{labels} {_format_value(count)}")
-    elif kind == "windowed_counter":
-        lines.append(f"# TYPE {name} gauge")
-        for snap in snaps:
-            labels = _labels_text(
-                snap["labels"], {"window": f"{snap['window_s']:g}s"}
-            )
-            lines.append(f"{name}{labels} {_format_value(snap['total'])}")
-    else:  # unknown kind: expose numeric fields as suffixed gauges
-        lines.append(f"# TYPE {name} gauge")
-        for snap in snaps:
-            labels = _labels_text(snap["labels"])
-            for field, value in sorted(snap.items()):
-                if field in ("kind", "name", "labels") or not isinstance(
-                    value, (int, float)
-                ):
-                    continue
-                lines.append(f"{name}_{field}{labels} {_format_value(value)}")
     return lines
 
 

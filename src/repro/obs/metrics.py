@@ -145,7 +145,10 @@ class Gauge(_Metric):
 
 
 class _Ring:
-    """Sub-window ring arithmetic shared by windowed metrics (owners lock).
+    """Sub-window ring arithmetic for windowed views (owners lock).
+
+    Used by :class:`Histogram` and by the SLO monitor's private good/bad
+    window counts (:mod:`repro.obs.slo`).
 
     The ring has ``buckets + 1`` slots: one spare so the *filling*
     sub-window never evicts a live one.  After :meth:`advance`, every slot
@@ -396,12 +399,6 @@ class MetricsRegistry:
 
     def histogram(self, name: str, **labels) -> Histogram:
         return self._get_or_create(Histogram, name, labels)
-
-    def windowed_counter(self, name: str, **labels):
-        """Sliding-window event counter series."""
-        from .windows import WindowedCounter
-
-        return self._get_or_create(WindowedCounter, name, labels)
 
     def collect(self) -> list[dict]:
         """Point-in-time snapshot of every series, sorted by (name, labels)."""

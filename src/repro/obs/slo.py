@@ -3,9 +3,9 @@
 An :class:`SLO` states an objective the serving layer must meet — "99% of
 rerank requests answer within 50 ms" (latency) or "99.9% of requests are
 served by the primary model" (error rate).  An :class:`SLOMonitor` feeds
-request outcomes into sliding-window good/bad counters
-(:class:`~repro.obs.windows.WindowedCounter`) and evaluates **burn
-rates**: with error budget ``1 - target``,
+request outcomes into private sliding-window good/bad counts (a
+sub-window ring per window length, not registry metrics) and evaluates
+**burn rates**: with error budget ``1 - target``,
 
     burn_rate(window) = bad_fraction(window) / (1 - target)
 
@@ -30,12 +30,12 @@ for that path.
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, field
 
-from .metrics import MetricsRegistry, get_registry
+from .metrics import MetricsRegistry, _Ring, get_registry
 from .runlog import RunLogger, get_run_logger
-from .windows import WindowedCounter
 
 __all__ = [
     "SLO",
@@ -112,8 +112,33 @@ class SLOStatus:
         return self.state == "ok"
 
 
+class _WindowCounts:
+    """Good and bad event counts over one sliding window."""
+
+    def __init__(self, window_s: float, clock, buckets: int = 10) -> None:
+        self._lock = threading.Lock()
+        self._ring = _Ring(window_s, buckets, clock)
+        self._good = [0.0] * self._ring.slots
+        self._bad = [0.0] * self._ring.slots
+
+    def _clear(self, slot: int) -> None:
+        self._good[slot] = 0.0
+        self._bad[slot] = 0.0
+
+    def add(self, bad: bool) -> None:
+        with self._lock:
+            slot = self._ring.advance(self._clear)
+            (self._bad if bad else self._good)[slot] += 1.0
+
+    def totals(self) -> tuple[float, float]:
+        """(good, bad) events inside the current window."""
+        with self._lock:
+            self._ring.advance(self._clear)
+            return sum(self._good), sum(self._bad)
+
+
 class SLOMonitor:
-    """Feeds request outcomes into windowed counters and evaluates burn rates.
+    """Feeds request outcomes into windowed counts and evaluates burn rates.
 
     ``min_events`` guards cold windows: a window with fewer events reports
     burn rate 0 (one unlucky request in an empty window is not an outage).
@@ -141,16 +166,8 @@ class SLOMonitor:
             | {w.short_s for w in self.burn_windows}
         )
         # Bucket span scales with the window so short windows stay sharp.
-        self._counts: dict[float, tuple[WindowedCounter, WindowedCounter]] = {
-            window_s: (
-                WindowedCounter(
-                    f"slo.{slo.name}.good", window_s=window_s, clock=clock
-                ),
-                WindowedCounter(
-                    f"slo.{slo.name}.bad", window_s=window_s, clock=clock
-                ),
-            )
-            for window_s in window_lengths
+        self._counts = {
+            window_s: _WindowCounts(window_s, clock) for window_s in window_lengths
         }
 
     # -- recording -----------------------------------------------------
@@ -160,17 +177,15 @@ class SLOMonitor:
         threshold = self.slo.latency_threshold_ms
         if not bad and threshold is not None and latency_ms is not None:
             bad = latency_ms > threshold
-        index = 1 if bad else 0
-        for good, bad_counter in self._counts.values():
-            (bad_counter if index else good).add()
+        for counts in self._counts.values():
+            counts.add(bad)
 
     def record_error(self) -> None:
         self.record(error=True)
 
     # -- reading -------------------------------------------------------
     def _window_counts(self, window_s: float) -> tuple[float, float]:
-        good, bad = self._counts[window_s]
-        return good.total, bad.total
+        return self._counts[window_s].totals()
 
     def bad_fraction(self, window_s: float) -> float:
         good, bad = self._window_counts(window_s)

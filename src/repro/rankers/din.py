@@ -18,6 +18,14 @@ from .base import InitialRanker
 
 __all__ = ["DINRanker"]
 
+# Candidate lists scored per forward pass.  Every (list, candidate) pair
+# carries a (history_length, item_dim) history block, so one forward over
+# a whole test split holds gigabytes of transients.  Rows are independent,
+# but BLAS rounds differently when a call has few rows, so a tail under
+# half a chunk joins the chunk before it; that keeps the scores bitwise
+# equal to one unchunked forward (tests/test_rankers.py checks it).
+_SCORE_CHUNK_LISTS = 48
+
 
 class _DINNetwork(nn.Module):
     """Attention-pooled interest network."""
@@ -181,15 +189,21 @@ class DINRanker(InitialRanker):
         user_ids = np.asarray(user_ids, dtype=np.int64)
         candidate_items = np.asarray(candidate_items, dtype=np.int64)
         n, length = candidate_items.shape
-        flat_users = np.repeat(user_ids, length)
-        flat_items = candidate_items.ravel()
-        hist_f, hist_m = self._history_arrays(flat_users, catalog, histories)
-        with nn.no_grad():
-            logits = self.network(
-                population.features[flat_users],
-                catalog.features[flat_items],
-                catalog.coverage[flat_items],
-                hist_f,
-                hist_m,
-            )
-        return logits.numpy().reshape(n, length)
+        scores = np.empty((n, length))
+        starts = list(range(0, n, _SCORE_CHUNK_LISTS))
+        if len(starts) > 1 and n - starts[-1] < _SCORE_CHUNK_LISTS // 2:
+            starts.pop()
+        for start, stop in zip(starts, starts[1:] + [n]):
+            flat_users = np.repeat(user_ids[start:stop], length)
+            flat_items = candidate_items[start:stop].ravel()
+            hist_f, hist_m = self._history_arrays(flat_users, catalog, histories)
+            with nn.no_grad():
+                logits = self.network(
+                    population.features[flat_users],
+                    catalog.features[flat_items],
+                    catalog.coverage[flat_items],
+                    hist_f,
+                    hist_m,
+                )
+            scores[start:stop] = logits.numpy().reshape(stop - start, length)
+        return scores

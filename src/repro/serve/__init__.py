@@ -7,10 +7,10 @@ hardened library into that serving system:
 
 - :mod:`repro.serve.clock` — :class:`ManualClock`, the injectable
   virtual clock every serving component accepts so coalescing windows,
-  TTL expiry, and load generation replay deterministically in tests;
+  TTL expiry, and closed-loop traffic replay deterministically in tests;
 - :mod:`repro.serve.cache` — :class:`SlateCache`, a TTL + LRU slate
-  cache keyed on ``(tenant, user, candidate-set hash)`` with full-key
-  collision discrimination and invalidation-on-history-update;
+  cache keyed on the full request identity ``(tenant, user, identity,
+  candidates, initial scores)`` with invalidation-on-history-update;
 - :mod:`repro.serve.batcher` — :class:`BatcherCore`, the sans-io
   coalescing state machine (group by ``(tenant, list_length)``, close on
   size or window, bounded admission queue);
@@ -18,9 +18,10 @@ hardened library into that serving system:
   request loop wiring admission control → cache → batcher → batched
   ``Reranker.rerank`` (typically a
   :class:`~repro.resilience.degrade.ResilientReranker`) → ``repro.obs``;
-- :mod:`repro.serve.loadgen` — Zipfian closed-loop load generation over
-  millions of distinct virtual users, in wall-clock mode (benchmarks)
-  or virtual-time mode (deterministic tests).
+- :mod:`repro.serve.loadgen` — :class:`ZipfianWorkload`, seeded Zipfian
+  request traffic over millions of distinct virtual users.  The serving
+  benchmark is the repository benchmark's ``serve_hot`` and
+  ``serve_miss`` workloads (``perfbench/run.py``), which drive it.
 
 See DESIGN.md §11 for the architecture and TESTING.md for the
 fake-clock/seeded-scheduler test contract.
@@ -29,7 +30,7 @@ fake-clock/seeded-scheduler test contract.
 from .batcher import Batch, BatcherCore, QueueFullError
 from .cache import SlateCache
 from .clock import ManualClock
-from .loadgen import LoadGenerator, LoadReport, ZipfianWorkload
+from .loadgen import ZipfianWorkload
 from .service import (
     RerankService,
     ServeRequest,
@@ -44,8 +45,6 @@ __all__ = [
     "QueueFullError",
     "SlateCache",
     "ManualClock",
-    "LoadGenerator",
-    "LoadReport",
     "ZipfianWorkload",
     "RerankService",
     "ServeRequest",

@@ -23,8 +23,8 @@ Rules, in decision order:
    never extend it, so p99 queueing delay is bounded by ``max_wait_s``).
 4. Admission control: at most ``max_pending`` requests may be queued;
    :meth:`submit` raises :class:`QueueFullError` beyond that and the
-   caller sheds load (the service turns this into a rejection or a
-   passthrough slate, per policy).
+   caller sheds load (the service turns this into a
+   :class:`~repro.serve.service.ServiceOverloaded` rejection).
 
 Telemetry: the ``serve.batch_size`` histogram (lifetime and windowed), the
 ``serve.batcher.{submitted,shed}`` counters, and the

@@ -1,4 +1,4 @@
-"""Closed-loop load generation: Zipfian traffic from millions of users.
+"""Zipfian request traffic from millions of distinct users.
 
 Production rerank traffic is heavy-tailed: a small set of very active
 users dominates request volume while a long tail of near-cold users keeps
@@ -11,30 +11,19 @@ is a deterministic function of its identity (a per-user seeded RNG), so
 hot users re-issue identical requests — the regime a slate cache exists
 for — and cold users miss, exactly as in live serving.
 
-:class:`LoadGenerator` drives a :class:`~repro.serve.service
-.RerankService` closed-loop (a fixed number of in-flight requests; each
-completion immediately issues the next) in two modes:
-
-- :meth:`run` — wall clock, against a started service (the benchmark
-  path: ``benchmarks/bench_serve.py`` gates p99 and requests/sec);
-- :meth:`run_virtual` — a :class:`~repro.serve.clock.ManualClock` is
-  advanced to each batching deadline and the service is drained
-  explicitly: no sleeps, no timers, bit-replayable — the smoke-tier
-  serving tests run the full closed loop this way in milliseconds.
+The workload only produces requests; the caller drives the service.  The
+repository benchmark (``perfbench/``, workloads ``serve_hot`` and
+``serve_miss``) runs its own closed-loop clients over it, and the serving
+tests run a manual-clock closed loop over it.
 """
 
 from __future__ import annotations
 
-import asyncio
-import time
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .clock import ManualClock
-from .service import RerankService, ServeRequest, ServiceOverloaded
+from .service import ServeRequest
 
-__all__ = ["ZipfianWorkload", "LoadGenerator", "LoadReport"]
+__all__ = ["ZipfianWorkload"]
 
 
 class ZipfianWorkload:
@@ -116,149 +105,3 @@ class ZipfianWorkload:
 
     def request(self) -> ServeRequest:
         return self.request_for(self.sample_virtual_user())
-
-
-@dataclass
-class LoadReport:
-    """Aggregate outcome of one closed-loop run."""
-
-    requests: int
-    duration_s: float
-    latencies_ms: np.ndarray
-    sources: dict = field(default_factory=dict)
-    shed: int = 0
-
-    @property
-    def requests_per_sec(self) -> float:
-        return self.requests / self.duration_s if self.duration_s > 0 else 0.0
-
-    def latency_percentile(self, q: float) -> float:
-        if self.latencies_ms.size == 0:
-            return 0.0
-        return float(np.percentile(self.latencies_ms, q))
-
-    @property
-    def p50_ms(self) -> float:
-        return self.latency_percentile(50)
-
-    @property
-    def p95_ms(self) -> float:
-        return self.latency_percentile(95)
-
-    @property
-    def p99_ms(self) -> float:
-        return self.latency_percentile(99)
-
-    @property
-    def cache_hit_rate(self) -> float:
-        served = sum(self.sources.values())
-        return self.sources.get("cache", 0) / served if served else 0.0
-
-    def summary(self) -> dict:
-        return {
-            "requests": self.requests,
-            "duration_s": round(self.duration_s, 4),
-            "requests_per_sec": round(self.requests_per_sec, 2),
-            "p50_ms": round(self.p50_ms, 4),
-            "p95_ms": round(self.p95_ms, 4),
-            "p99_ms": round(self.p99_ms, 4),
-            "cache_hit_rate": round(self.cache_hit_rate, 4),
-            "shed": self.shed,
-            "sources": dict(sorted(self.sources.items())),
-        }
-
-
-class LoadGenerator:
-    """Closed-loop driver: ``concurrency`` requests always in flight."""
-
-    def __init__(
-        self,
-        service: RerankService,
-        workload: ZipfianWorkload,
-        concurrency: int = 32,
-    ) -> None:
-        if concurrency < 1:
-            raise ValueError("concurrency must be >= 1")
-        self.service = service
-        self.workload = workload
-        self.concurrency = concurrency
-
-    async def _one(self, request: ServeRequest, outcomes: list) -> None:
-        try:
-            result = await self.service.rerank(request)
-        except ServiceOverloaded:
-            outcomes.append(("shed", None))
-        else:
-            outcomes.append((result.source, result.latency_ms))
-
-    async def run(self, num_requests: int) -> LoadReport:
-        """Wall-clock closed loop against a *started* service."""
-        outcomes: list = []
-        remaining = num_requests
-        started = time.perf_counter()
-
-        async def worker() -> None:
-            nonlocal remaining
-            while remaining > 0:
-                remaining -= 1
-                await self._one(self.workload.request(), outcomes)
-
-        await asyncio.gather(
-            *(worker() for _ in range(min(self.concurrency, num_requests)))
-        )
-        return self._report(outcomes, time.perf_counter() - started)
-
-    async def run_virtual(
-        self, num_requests: int, clock: ManualClock
-    ) -> LoadReport:
-        """Deterministic closed loop on a manual clock (no timers).
-
-        The service must *not* have a running dispatcher: this driver
-        advances ``clock`` to each batching deadline and serves due
-        groups itself, so the whole run is a replayable function of the
-        workload seed.
-        """
-        outcomes: list = []
-        issued = 0
-        tasks: set[asyncio.Task] = set()
-        loop = asyncio.get_running_loop()
-        started = clock.now
-        while issued < num_requests or tasks:
-            while issued < num_requests and len(tasks) < self.concurrency:
-                request = self.workload.request()
-                tasks.add(loop.create_task(self._one(request, outcomes)))
-                issued += 1
-            # Two ticks: one to enter rerank(), one for cache-hit tasks to
-            # finish resolving.
-            await asyncio.sleep(0)
-            await asyncio.sleep(0)
-            deadline = self.service.batcher.next_deadline()
-            if deadline is not None:
-                clock.advance_to(deadline)
-                self.service.serve_due()
-                await asyncio.sleep(0)
-            done = {t for t in tasks if t.done()}
-            for task in done:
-                task.result()  # propagate unexpected failures to the test
-            tasks -= done
-        return self._report(outcomes, max(clock.now - started, 1e-12))
-
-    @staticmethod
-    def _report(outcomes: list, duration_s: float) -> LoadReport:
-        sources: dict = {}
-        latencies = []
-        shed = 0
-        for source, latency_ms in outcomes:
-            if source == "shed" and latency_ms is None:
-                shed += 1
-                continue
-            sources[source] = sources.get(source, 0) + 1
-            if latency_ms is not None:
-                latencies.append(latency_ms)
-        return LoadReport(
-            requests=len(outcomes),
-            duration_s=duration_s,
-            latencies_ms=np.asarray(latencies, dtype=np.float64),
-            sources=sources,
-            shed=shed,
-        )

@@ -6,10 +6,10 @@ batcher, and the cache (cache keys are tenant-qualified).  A request
 travels:
 
 1. **admission control** — the batcher's bounded queue; beyond
-   ``max_pending`` the request is shed per ``shed_policy``: ``"reject"``
-   raises :class:`ServiceOverloaded` (the client retries elsewhere),
-   ``"passthrough"`` serves the initial ranking unchanged — degraded but
-   valid, the same last-resort slate the resilience layer uses;
+   ``max_pending`` the request is shed: it raises
+   :class:`ServiceOverloaded` (the client retries elsewhere), is counted
+   as ``serve.requests{source="shed"}`` and, with an SLO monitor, as a
+   bad event;
 2. **slate cache** — an exact-identity hit (user, candidates, scores,
    tenant) skips the model entirely.  Only slates the tenant's primary
    model produced are cached: a fallback answer from a
@@ -29,8 +29,8 @@ travels:
    :class:`~repro.obs.slo.SLOMonitor` fed every request outcome.
 
 Determinism contract: the clock is injectable and the service only acts
-when driven — ``await service.drain()`` (tests, virtual-time load
-generation) or the background dispatcher started by ``start()``
+when driven — ``await service.drain()`` (tests, manual-clock closed
+loops) or the background dispatcher started by ``start()``
 (production, the only place a real timer exists).  Given the same
 arrival order and clock schedule, batch compositions and served slates
 replay exactly.
@@ -63,7 +63,7 @@ __all__ = [
 
 
 class ServiceOverloaded(RuntimeError):
-    """Admission control shed this request (``shed_policy="reject"``)."""
+    """Admission control shed this request (the batcher queue is full)."""
 
 
 @dataclass
@@ -71,7 +71,7 @@ class ServeRequest:
     """One user's rerank request as it arrives at the service edge.
 
     ``cache_user`` is the *identity* used for slate caching; it defaults
-    to ``user_id`` but load generators map millions of virtual users onto
+    to ``user_id`` but Zipfian workloads map millions of virtual users onto
     a finite feature population while keeping distinct cache identities.
     A history update for ``user_id`` invalidates every identity aliasing
     it.
@@ -100,10 +100,10 @@ class ServeResult:
 
     permutation: np.ndarray  # (L,) best-first indices into the request
     ranked_items: np.ndarray  # (L,) item ids in served order
-    source: str  # "batched" | "cache" | "shed"
-    batch_size: int  # forward-pass batch (1 for cache/shed)
+    source: str  # "batched" | "cache"
+    batch_size: int  # forward-pass batch (1 for cache)
     latency_ms: float
-    seq: int  # batcher sequence number (-1 for cache/shed)
+    seq: int  # batcher sequence number (-1 for cache)
 
 
 @dataclass
@@ -150,8 +150,6 @@ class RerankService:
         A :class:`SlateCache`, or ``None`` to disable caching.
     max_batch_size / max_wait_ms / max_pending:
         Coalescing and admission parameters (:class:`BatcherCore`).
-    shed_policy:
-        ``"reject"`` or ``"passthrough"`` (see module docstring).
     clock:
         Monotonic-seconds callable shared by latency accounting and the
         batcher; inject a :class:`~repro.serve.clock.ManualClock` in
@@ -168,19 +166,15 @@ class RerankService:
         max_batch_size: int = 16,
         max_wait_ms: float = 2.0,
         max_pending: int = 1024,
-        shed_policy: str = "reject",
         clock: Callable[[], float] = time.monotonic,
         slo_monitor=None,
     ) -> None:
-        if shed_policy not in ("reject", "passthrough"):
-            raise ValueError("shed_policy must be 'reject' or 'passthrough'")
         if isinstance(tenants, ServingTenant):
             tenants = {tenants.name: tenants}
         if not tenants:
             raise ValueError("at least one tenant is required")
         self.tenants = dict(tenants)
         self.cache = cache
-        self.shed_policy = shed_policy
         self._clock = clock
         self.slo_monitor = slo_monitor
         self.batcher = BatcherCore(
@@ -196,7 +190,7 @@ class RerankService:
     # Request path
     # ------------------------------------------------------------------
     async def rerank(self, request: ServeRequest) -> ServeResult:
-        """Serve one request; always returns a valid slate or sheds."""
+        """Serve one request: a valid slate, or :class:`ServiceOverloaded`."""
         start = self._clock()
         tenant = self.tenants.get(request.tenant)
         if tenant is None:
@@ -219,7 +213,13 @@ class RerankService:
                 _Pending(request, future, start),
             )
         except QueueFullError as error:
-            return self._shed(request, start, error)
+            get_registry().counter(
+                "serve.requests", tenant=request.tenant, source="shed"
+            ).inc()
+            if self.slo_monitor is not None:
+                self.slo_monitor.record(error=True)
+                self.slo_monitor.evaluate()
+            raise ServiceOverloaded(str(error)) from error
         if self._wake is not None:
             self._wake.set()
         permutation, batch_size, degraded = await future
@@ -234,22 +234,6 @@ class RerankService:
             )
         return self._finish(request, permutation, "batched", batch_size, seq, start)
 
-    def _shed(
-        self, request: ServeRequest, start: float, error: QueueFullError
-    ) -> ServeResult:
-        get_registry().counter(
-            "serve.requests", tenant=request.tenant, source="shed"
-        ).inc()
-        if self.slo_monitor is not None:
-            self.slo_monitor.record(error=True)
-            self.slo_monitor.evaluate()
-        if self.shed_policy == "reject":
-            raise ServiceOverloaded(str(error)) from error
-        slate = np.arange(request.list_length)
-        return self._finish(
-            request, slate, "shed", 1, -1, start, count_request=False
-        )
-
     def _finish(
         self,
         request: ServeRequest,
@@ -258,19 +242,17 @@ class RerankService:
         batch_size: int,
         seq: int,
         start: float,
-        count_request: bool = True,
     ) -> ServeResult:
         latency_ms = 1000.0 * (self._clock() - start)
-        if count_request:
-            get_registry().counter(
-                "serve.requests", tenant=request.tenant, source=source
-            ).inc()
-            get_registry().histogram(
-                "serve.request_ms", tenant=request.tenant
-            ).observe(latency_ms)
-            if self.slo_monitor is not None:
-                self.slo_monitor.record(latency_ms=latency_ms, error=False)
-                self.slo_monitor.evaluate()
+        get_registry().counter(
+            "serve.requests", tenant=request.tenant, source=source
+        ).inc()
+        get_registry().histogram(
+            "serve.request_ms", tenant=request.tenant
+        ).observe(latency_ms)
+        if self.slo_monitor is not None:
+            self.slo_monitor.record(latency_ms=latency_ms, error=False)
+            self.slo_monitor.evaluate()
         return ServeResult(
             permutation=permutation,
             ranked_items=request.items[permutation],

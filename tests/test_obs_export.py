@@ -40,9 +40,6 @@ def _populated_registry() -> MetricsRegistry:
     hist._ring.clock = fake
     for value in (1.0, 2.0, 3.0, 4.0):
         hist.observe(value)
-    degraded = registry.windowed_counter("resilience.degraded")
-    degraded._ring.clock = fake
-    degraded.add(2.0)
     fake.advance(10.0)  # window samples all stay live
     return registry
 

@@ -4,7 +4,8 @@ Drives the instrumented paths end to end on the tiny taobao world — a
 served miss and a cache hit through a :class:`ResilientReranker` with the
 default serving SLO, one ``train_rapid`` epoch, one ``evaluate_reranker``
 pass — and checks the registry holds no twin series: each name appears
-under exactly one kind, and each histogram carries its own window view.
+under exactly one kind (counter, gauge or histogram, the registry's only
+three), and each histogram carries its own window view.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from repro.core import RapidConfig, RapidReranker, TrainConfig
 from repro.core.trainer import train_rapid
 from repro.eval import evaluate_reranker
-from repro.obs import get_registry, reset_registry
+from repro.obs import MetricsRegistry, get_registry, reset_registry
 from repro.obs.slo import serving_slo
 from repro.obs.windows import enable_windowed
 from repro.resilience.degrade import ResilientReranker
@@ -78,6 +79,16 @@ def _drive_everything(bundle) -> None:
     evaluate_reranker(serving, bundle)
 
 
+def test_registry_creates_only_three_kinds():
+    """Counter, gauge and histogram are the registry's only constructors."""
+    constructors = {
+        name
+        for name, attr in vars(MetricsRegistry).items()
+        if callable(attr) and not name.startswith("_")
+    } - {"collect", "reset"}
+    assert constructors == {"counter", "gauge", "histogram"}
+
+
 def test_each_signal_has_one_metric_type(tiny_bundle):
     reset_registry()
     enable_windowed()  # the retired switch must not bring twins back
@@ -92,7 +103,7 @@ def test_each_signal_has_one_metric_type(tiny_bundle):
         kinds.setdefault(snap["name"], set()).add(snap["kind"])
     assert {name: k for name, k in kinds.items() if len(k) != 1} == {}
     all_kinds = set().union(*kinds.values())
-    assert not all_kinds & {"windowed_histogram", "meter"}
+    assert all_kinds == {"counter", "gauge", "histogram"}
 
     histograms = [s for s in snaps if s["kind"] == "histogram"]
     for snap in histograms:

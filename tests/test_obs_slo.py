@@ -14,6 +14,7 @@ from repro.obs.slo import (
     BurnWindow,
     SLOMonitor,
     SLO_STATE_CODES,
+    _WindowCounts,
     serving_slo,
 )
 from repro.rerank import MMRReranker
@@ -106,6 +107,18 @@ class TestBurnRateMath:
         clock.advance(70.0)  # past the short window (+ its bucket span)
         assert monitor.burn_rate(60.0) == 0.0
         assert monitor.burn_rate(1800.0) > 0.0  # still inside the long one
+
+    def test_window_counts_drop_expired_sub_windows(self):
+        clock = FakeClock()
+        counts = _WindowCounts(10.0, clock, buckets=5)
+        for _ in range(4):
+            counts.add(bad=False)
+        counts.add(bad=True)
+        assert counts.totals() == (4.0, 1.0)
+        clock.advance(12.5)  # window + one sub-window span: expired
+        counts.add(bad=True)
+        counts.add(bad=False)
+        assert counts.totals() == (1.0, 1.0)
 
 
 class TestTransitions:

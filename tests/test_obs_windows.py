@@ -1,4 +1,4 @@
-"""Tests for the sliding-window view of registry histograms and windowed counters."""
+"""Tests for the sliding-window view of registry histograms."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import pytest
 
 from repro.obs import get_registry, reset_registry
 from repro.obs.metrics import BUCKET_CAP, Histogram
-from repro.obs.windows import WindowedCounter, enable_windowed
+from repro.obs.windows import enable_windowed
 
 
 class FakeClock:
@@ -168,17 +168,6 @@ class TestWindowedHistogram:
         assert not any(thread.is_alive() for thread in writers)
         assert hist.count > 0
         assert mismatches == []
-
-
-class TestWindowedCounter:
-    def test_total_over_window_vs_lifetime(self):
-        clock = FakeClock()
-        counter = WindowedCounter("c", window_s=10.0, buckets=5, clock=clock)
-        counter.add(5.0)
-        clock.advance(12.5)  # window + one sub-window span: expired
-        counter.add(2.0)
-        assert counter.total == pytest.approx(2.0)  # windowed
-        assert counter.lifetime_total == pytest.approx(7.0)
 
 
 def test_enable_windowed_is_a_noop():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro.rankers import (
     SVMRankRanker,
     pointwise_features,
 )
+from repro.rankers import din
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +101,56 @@ class TestDIN:
         world, _, interactions, _, _ = training_setup
         with pytest.raises(ValueError):
             DINRanker(epochs=1).fit(interactions, world.catalog, world.population)
+
+    def test_score_in_bounded_chunks_bitwise_unchunked(
+        self, training_setup, monkeypatch
+    ):
+        """Chunked scoring equals one unchunked forward, bit for bit, and
+        its peak allocation stays flat as the list count grows 10x."""
+        world, histories, interactions, _, _ = training_setup
+        ranker = DINRanker(epochs=1, seed=0).fit(
+            interactions[:300], world.catalog, world.population, histories
+        )
+        rng = np.random.default_rng(5)
+        chunk = din._SCORE_CHUNK_LISTS
+
+        def lists(count):
+            users = rng.integers(world.config.num_users, size=count)
+            candidates = np.stack(
+                [
+                    rng.choice(world.config.num_items, size=10, replace=False)
+                    for _ in range(count)
+                ]
+            )
+            return users, candidates
+
+        def score(users, candidates):
+            return ranker.score(
+                users, candidates, world.catalog, world.population, histories
+            )
+
+        # Ragged tails: one that rides with the chunk before it, one alone.
+        for count in (2 * chunk + 5, 2 * chunk + chunk // 2 + 3):
+            users, candidates = lists(count)
+            chunked = score(users, candidates)
+            with monkeypatch.context() as patch:
+                patch.setattr(din, "_SCORE_CHUNK_LISTS", count)
+                unchunked = score(users, candidates)
+            assert chunked.view(np.uint64).tolist() == (
+                unchunked.view(np.uint64).tolist()
+            )
+
+        def peak_bytes(count):
+            batch = lists(count)
+            tracemalloc.start()
+            try:
+                score(*batch)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small = chunk + 5
+        assert peak_bytes(10 * small) < 3 * peak_bytes(small)
 
 
 class TestSVMRank:

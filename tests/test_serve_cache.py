@@ -1,8 +1,8 @@
-"""Slate-cache tests: brute-force oracle, collisions, TTL, invalidation.
+"""Slate-cache tests: brute-force oracle, full-key identity, TTL, invalidation.
 
 The property suite drives random interleavings of get / put /
 history-update / TTL-advance against an oracle that stores full keys in
-a plain dict with timestamps — no hashing, no capacity — and asserts the
+a plain dict with timestamps — no recency order, no capacity — and asserts the
 cache agrees on every lookup (capacity is lifted for those runs so LRU
 eviction, which the oracle doesn't model, can't fire).
 """
@@ -113,37 +113,6 @@ class TestBasics:
         )
         cache.clear()
         assert len(cache) == 0
-
-
-class TestCollisions:
-    def test_hash_collisions_distinguished_by_full_key(self):
-        """With a degenerate hash, every key collides — lookups must still
-        be exact via full-key comparison on the bucket chain."""
-        clock = ManualClock()
-        cache = SlateCache(clock=clock, hash_fn=lambda payload: 0)
-        first = (np.array([1, 2, 3]), np.array([0.1, 0.2, 0.3]))
-        second = (np.array([4, 5, 6]), np.array([0.4, 0.5, 0.6]))
-        cache.put(7, *first, np.array([2, 1, 0]))
-        cache.put(7, *second, np.array([0, 2, 1]))
-        np.testing.assert_array_equal(cache.get(7, *first), [2, 1, 0])
-        np.testing.assert_array_equal(cache.get(7, *second), [0, 2, 1])
-        assert cache.get(7, np.array([1, 2, 4]), first[1]) is None
-        # Replacement targets the exact chain entry, not the whole bucket.
-        cache.put(7, *first, np.array([0, 1, 2]))
-        np.testing.assert_array_equal(cache.get(7, *first), [0, 1, 2])
-        np.testing.assert_array_equal(cache.get(7, *second), [0, 2, 1])
-
-    def test_collision_chain_expiry_is_per_entry(self):
-        clock = ManualClock()
-        cache = SlateCache(ttl_s=TTL, clock=clock, hash_fn=lambda payload: 0)
-        first = (np.array([1, 2]), np.array([0.1, 0.2]))
-        second = (np.array([3, 4]), np.array([0.3, 0.4]))
-        cache.put(0, *first, np.array([0, 1]))
-        clock.advance(TTL / 2)
-        cache.put(0, *second, np.array([1, 0]))
-        clock.advance(TTL / 2)
-        assert cache.get(0, *first) is None  # expired
-        np.testing.assert_array_equal(cache.get(0, *second), [1, 0])
 
 
 @st.composite

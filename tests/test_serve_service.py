@@ -27,7 +27,6 @@ from repro.rerank import MMRReranker
 from repro.resilience import FaultSpec, chaos
 from repro.resilience.degrade import ResilientReranker, default_fallback_chain
 from repro.serve import (
-    LoadGenerator,
     ManualClock,
     RerankService,
     ServeRequest,
@@ -310,36 +309,6 @@ class TestAdmissionControl:
             == 2
         )
 
-    def test_passthrough_policy_serves_initial_order(self, taobao_world):
-        world = taobao_world
-        histories = world.sample_histories()
-        clock = ManualClock()
-        service = _service(
-            world,
-            histories,
-            MMRReranker(),
-            clock,
-            max_batch_size=100,
-            max_pending=1,
-            shed_policy="passthrough",
-            cache=None,
-        )
-        requests = _requests(world, 3, seed=13)
-
-        async def scenario():
-            tasks = [asyncio.create_task(service.rerank(r)) for r in requests]
-            await asyncio.sleep(0)
-            await service.drain()
-            return await asyncio.gather(*tasks)
-
-        results = _run(scenario())
-        sheds = [r for r in results if r.source == "shed"]
-        assert len(sheds) == 2
-        for result in sheds:
-            np.testing.assert_array_equal(
-                result.permutation, np.arange(requests[0].list_length)
-            )
-
 
 class TestConcurrencyRace:
     def test_concurrent_equals_serial_slate_multiset(self, taobao_world):
@@ -368,11 +337,16 @@ class TestConcurrencyRace:
         assert {r.source for r in results} <= {"batched", "cache"}
 
     def test_virtual_loadgen_replays_bitwise(self, taobao_world):
-        """Same workload seed -> identical report and served traffic."""
+        """A manual-clock closed loop over Zipfian traffic replays exactly.
+
+        Eight clients keep a request in flight each; the loop advances the
+        clock to the batcher's next window deadline and serves what is
+        due, so batches close on size or on window, never on a drain.
+        """
         world = taobao_world
         histories = world.sample_histories()
 
-        def one_run():
+        def one_run(num_requests=150, clients=8):
             get_registry().reset()
             clock = ManualClock()
             service = _service(
@@ -390,14 +364,51 @@ class TestConcurrencyRace:
                 list_length=8,
                 seed=23,
             )
-            generator = LoadGenerator(service, workload, concurrency=8)
-            report = _run(generator.run_virtual(150, clock))
-            return report.summary()
 
-        first, second = one_run(), one_run()
-        assert first == second
-        assert first["requests"] == 150
-        assert first["cache_hit_rate"] > 0.05  # Zipf head repeats
+            async def closed_loop():
+                served = []
+                issued = 0
+                inflight: list = []  # (task, request) in issue order
+                while issued < num_requests or inflight:
+                    while issued < num_requests and len(inflight) < clients:
+                        request = workload.request()
+                        task = asyncio.create_task(service.rerank(request))
+                        inflight.append((task, request))
+                        issued += 1
+                    # One tick to enter rerank(), one for cache hits to return.
+                    await asyncio.sleep(0)
+                    await asyncio.sleep(0)
+                    deadline = service.batcher.next_deadline()
+                    if deadline is not None:
+                        clock.advance_to(deadline)
+                        service.serve_due()
+                        await asyncio.sleep(0)
+                    done = [pair for pair in inflight if pair[0].done()]
+                    inflight = [pair for pair in inflight if not pair[0].done()]
+                    for task, request in done:
+                        result = task.result()
+                        served.append(
+                            (
+                                request.cache_user,
+                                result.source,
+                                result.batch_size,
+                                result.latency_ms,
+                                tuple(result.ranked_items),
+                            )
+                        )
+                return served, clock.now
+
+            return _run(closed_loop())
+
+        (first, first_end), (second, second_end) = one_run(), one_run()
+        assert first == second and first_end == second_end
+        assert len(first) == 150
+        sources = [source for _, source, _, _, _ in first]
+        assert set(sources) == {"batched", "cache"}
+        assert sources.count("cache") > 0.05 * len(sources)  # Zipf head repeats
+        # Window-driven release: some batches closed below max_batch_size.
+        sizes = {size for _, source, size, _, _ in first if source == "batched"}
+        assert sizes & {1, 2, 3}
 
 
 class TestChaosSweep:
@@ -559,7 +570,6 @@ class TestSLOIntegration:
             clock,
             max_batch_size=100,
             max_pending=1,
-            shed_policy="passthrough",
             slo_monitor=monitor,
             cache=None,
         )
@@ -569,9 +579,11 @@ class TestSLOIntegration:
             tasks = [asyncio.create_task(service.rerank(r)) for r in requests]
             await asyncio.sleep(0)
             await service.drain()
-            await asyncio.gather(*tasks)
+            return await asyncio.gather(*tasks, return_exceptions=True)
 
-        _run(scenario())
+        outcomes = _run(scenario())
+        shed = [o for o in outcomes if isinstance(o, ServiceOverloaded)]
+        assert len(shed) == 11
         # 11 of 12 requests shed: burn rate is far beyond the page rule.
         assert monitor.state == "page"
 
