@@ -87,8 +87,8 @@ def _cycle_obs() -> None:
     profiler.sample_once()
     stop_sampling()
     enable_op_profiler()
-    inference.linear_nd(
-        np.ones((2, 3), dtype=np.float32), np.ones((3, 2), dtype=np.float32), None
+    inference.lstm_scan_infer(
+        np.ones((1, 2, 4), dtype=np.float32), np.ones((1, 4), dtype=np.float32)
     )
     disable_op_profiler()
     assert inference._PROFILE_HOOK is None

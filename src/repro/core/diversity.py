@@ -24,7 +24,7 @@ import numpy as np
 
 from .. import nn
 from ..data.batching import RerankBatch
-from ..nn import Tensor, inference
+from ..nn import Tensor, as_tensor
 from .coverage import incremental_gain, marginal_diversity
 
 __all__ = ["PersonalizedDiversityEstimator"]
@@ -117,52 +117,26 @@ class PersonalizedDiversityEstimator(nn.Module):
         theta_logits = self.preference_mlp(attended.reshape(b, m * self.hidden))
         return theta_logits.softmax(axis=-1)  # Eq. 3
 
-    def forward(self, batch: RerankBatch) -> Tensor:
-        """Delta_R (B, L, m): personalized diversity gain of each candidate."""
-        theta = self.preference_distribution(batch)
+    def forward(self, batch: RerankBatch, theta: Tensor | None = None) -> Tensor:
+        """Delta_R (B, L, m): personalized diversity gain of each candidate.
+
+        ``theta`` (B, m) defaults to :meth:`preference_distribution`.
+        """
+        if theta is None:
+            theta = self.preference_distribution(batch)
         if self.marginal_mode == "sequential":
             gains = incremental_gain(batch.coverage, kind=self.coverage_kind)
         else:
             gains = marginal_diversity(batch.coverage)  # Eq. 5, (B, L, m)
-        return Tensor(gains) * theta.reshape(
+        return Tensor(gains) * as_tensor(theta).reshape(
             batch.batch_size, 1, self.num_topics
         )  # Eq. 6
 
-    # ------------------------------------------------------------------
-    # Tape-free inference twins (see repro.nn.inference).
-    # ------------------------------------------------------------------
     def infer_preference(self, batch: RerankBatch) -> np.ndarray:
-        """theta_hat (B, m) on raw arrays in the inference dtype."""
-        dtype = inference.infer_dtype()
-        b, m, d, _ = batch.topic_history_features.shape
-        user = np.broadcast_to(
-            batch.user_features[:, None, None, :],
-            (b, m, d, batch.user_features.shape[-1]),
-        )
-        sequences = np.concatenate(
-            [user, batch.topic_history_features], axis=3
-        ).astype(dtype, copy=False)
-        flat = sequences.reshape(b * m, d, sequences.shape[-1])
-        flat_mask = batch.topic_history_mask.reshape(b * m, d)
-        if self.aggregator == "lstm":
-            _, final = self.topic_encoder.infer(flat, mask=flat_mask)
-        else:
-            projected = self.topic_proj.infer(flat)
-            weights = flat_mask.astype(dtype)
-            denom = np.maximum(weights.sum(axis=1, keepdims=True), dtype.type(1.0))
-            final = (projected * weights[:, :, None]).sum(axis=1) / denom
-        topics = final.reshape(b, m, self.hidden)
-        attended = self.inter_topic_attention.infer(topics)
-        theta_logits = self.preference_mlp.infer(
-            attended.reshape(b, m * self.hidden)
-        )
-        return inference.softmax_nd(theta_logits, axis=-1)
+        """theta_hat (B, m) from :meth:`preference_distribution`, served."""
+        return self._run_infer(self.preference_distribution, batch)
 
     def infer(self, batch: RerankBatch) -> np.ndarray:
-        """Delta_R (B, L, m) on raw arrays in the inference dtype."""
-        theta = self.infer_preference(batch)
-        if self.marginal_mode == "sequential":
-            gains = incremental_gain(batch.coverage, kind=self.coverage_kind)
-        else:
-            gains = marginal_diversity(batch.coverage)
-        return gains.astype(theta.dtype, copy=False) * theta[:, None, :]
+        """Delta_R (B, L, m), served; theta_hat comes from
+        :meth:`infer_preference` so the two stages are timed apart."""
+        return super().infer(batch, theta=self.infer_preference(batch))

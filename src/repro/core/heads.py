@@ -7,7 +7,8 @@
   trick, inference uses the upper confidence bound ``mu + sigma``.
 
 Both heads work in logit space and squash with a sigmoid so the output is a
-valid probability for the cross-entropy loss.
+valid probability for the cross-entropy loss; both serve their
+``inference_scores`` through ``infer_scores``.
 """
 
 from __future__ import annotations
@@ -15,12 +16,20 @@ from __future__ import annotations
 import numpy as np
 
 from .. import nn
-from ..nn import Tensor, inference
+from ..nn import Tensor
 
 __all__ = ["DeterministicHead", "ProbabilisticHead"]
 
 
-class DeterministicHead(nn.Module):
+class _ServedScores:
+    """The heads' serving entry point (a mixin for :class:`nn.Module`)."""
+
+    def infer_scores(self, features: np.ndarray) -> np.ndarray:
+        """:meth:`inference_scores` on raw (B, L, d) features, served."""
+        return self._run_infer(self.inference_scores, features)
+
+
+class DeterministicHead(_ServedScores, nn.Module):
     """Eq. 7: ``phi_R = sigmoid(MLP[H_R, Delta_R])``."""
 
     def __init__(
@@ -42,15 +51,8 @@ class DeterministicHead(nn.Module):
         """Scores used for ranking at inference; same as forward here."""
         return self.forward(features)
 
-    def infer_scores(self, features: np.ndarray) -> np.ndarray:
-        """Tape-free twin of :meth:`inference_scores` on raw arrays."""
-        b, length, _ = features.shape
-        return inference.sigmoid_nd(
-            self.score_mlp.infer(features).reshape(b, length)
-        )
 
-
-class ProbabilisticHead(nn.Module):
+class ProbabilisticHead(_ServedScores, nn.Module):
     """Eq. 8-10: reparameterized score sampling + UCB inference.
 
     The standard-deviation branch uses ``softplus`` so ``Sigma > 0``; it
@@ -89,11 +91,3 @@ class ProbabilisticHead(nn.Module):
         """UCB scores ``sigmoid(mu + sigma)`` (Eq. 10)."""
         mean, std = self._mean_std(features)
         return (mean + std).sigmoid()
-
-    def infer_scores(self, features: np.ndarray) -> np.ndarray:
-        """Tape-free UCB scores on raw arrays (softplus mirrored exactly)."""
-        b, length, _ = features.shape
-        mean = self.mean_mlp.infer(features).reshape(b, length)
-        raw = self.std_mlp.infer(features).reshape(b, length)
-        std = np.log(np.exp(raw) + raw.dtype.type(1.0))
-        return inference.sigmoid_nd(mean + std)

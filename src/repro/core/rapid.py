@@ -26,7 +26,7 @@ import numpy as np
 
 from .. import nn
 from ..data.batching import RerankBatch
-from ..nn import Tensor, inference
+from ..nn import Tensor
 from .diversity import PersonalizedDiversityEstimator
 from .heads import DeterministicHead, ProbabilisticHead
 from .relevance import ListwiseRelevanceEstimator
@@ -101,34 +101,17 @@ class RapidModel(nn.Module):
         """Training-time attraction probabilities ``phi_R`` (B, L)."""
         return self.head(self._fused_features(batch), rng=rng)
 
-    def _infer_features(self, batch: RerankBatch) -> np.ndarray:
-        """Tape-free [H_R, Delta_R] in the inference dtype."""
-        relevance = self.relevance.infer(batch)
-        if self.diversity is None:
-            return relevance
-        diversity = self.diversity.infer(batch)
-        return np.concatenate(
-            [relevance, diversity.astype(relevance.dtype, copy=False)], axis=2
-        )
-
     def inference_scores(self, batch: RerankBatch) -> np.ndarray:
         """Ranking scores at inference (UCB for the probabilistic head).
 
-        Dispatches to the tape-free float32 path (``repro.nn.inference``)
-        unless a test selects the tape with ``use_infer(False)``; scores
-        always come back float64.
+        Serves each submodule's forward through its ``infer`` entry point
+        (float32, no tape; float64 on the training kernels under
+        ``use_infer(False)``); scores always come back float64.
         """
-        if inference.infer_enabled():
-            scores = self.head.infer_scores(self._infer_features(batch))
-            return scores.astype(np.float64, copy=False)
-        was_training = self.training
-        self.eval()
-        try:
-            with nn.no_grad():
-                scores = self.head.inference_scores(self._fused_features(batch))
-        finally:
-            self.train(was_training)
-        return scores.numpy()
+        features = self.relevance.infer(batch)
+        if self.diversity is not None:
+            features = np.concatenate([features, self.diversity.infer(batch)], axis=2)
+        return self.head.infer_scores(features).astype(np.float64, copy=False)
 
     def preference_distribution(self, batch: RerankBatch) -> np.ndarray:
         """theta_hat for inspection / the case study (Fig. 5)."""
@@ -155,21 +138,8 @@ class RapidModel(nn.Module):
             raise RuntimeError(
                 "greedy inference needs the personalized diversity estimator"
             )
-        use_infer = inference.infer_enabled()
-        if use_infer:
-            relevance = self.relevance.infer(batch)
-            theta = self.diversity.infer_preference(batch).astype(
-                np.float64, copy=False
-            )
-        else:
-            was_training = self.training
-            self.eval()
-            try:
-                with nn.no_grad():
-                    relevance = self.relevance(batch).numpy()
-                    theta = self.diversity.preference_distribution(batch).numpy()
-            finally:
-                self.train(was_training)
+        relevance = self.relevance.infer(batch)
+        theta = self.diversity.infer_preference(batch).astype(np.float64, copy=False)
 
         batch_size, length, _ = relevance.shape
         m = self.config.num_topics
@@ -192,17 +162,11 @@ class RapidModel(nn.Module):
                 * prefix_complement[:, None, :]
                 * theta[:, None, :]
             )
-            if use_infer:
-                scores = self.head.infer_scores(
-                    np.concatenate(
-                        [relevance, delta.astype(relevance.dtype, copy=False)],
-                        axis=2,
-                    )
+            scores = self.head.infer_scores(
+                np.concatenate(
+                    [relevance, delta.astype(relevance.dtype, copy=False)], axis=2
                 )
-            else:
-                features = Tensor(np.concatenate([relevance, delta], axis=2))
-                with nn.no_grad():
-                    scores = self.head.inference_scores(features).numpy()
+            )
             scores = np.where(available, scores, -np.inf)
             picks = scores.argmax(axis=1)
             rows = np.flatnonzero(active)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .. import nn
 from ..data.batching import RerankBatch, normalized_initial_scores
-from ..nn import Tensor, inference
+from ..nn import Tensor
 
 __all__ = ["ListwiseRelevanceEstimator"]
 
@@ -81,14 +81,3 @@ class ListwiseRelevanceEstimator(nn.Module):
         if self.use_initial_scores:
             parts.append(normalized_initial_scores(batch)[:, :, None])
         return np.concatenate(parts, axis=2)
-
-    def infer(self, batch: RerankBatch) -> np.ndarray:
-        """Tape-free forward in the inference dtype; same numerics as forward."""
-        items = self._assemble(batch).astype(inference.infer_dtype(), copy=False)
-        if self.encoder_kind == "bilstm":
-            return self.encoder.infer(items, mask=batch.mask)
-        positions = np.tile(np.arange(batch.list_length), (batch.batch_size, 1))
-        projected = self.input_proj.infer(items) + self.position_table.infer(
-            positions
-        )
-        return self.encoder.infer(projected, mask=batch.mask)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import inference
 from .tensor import Tensor, as_tensor
 
 __all__ = [
@@ -29,33 +28,22 @@ _EPS = 1e-12
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    # ndarray in -> ndarray out: tape-free dispatch for the inference path.
-    if isinstance(x, np.ndarray):
-        return inference.sigmoid_nd(x)
     return as_tensor(x).sigmoid()
 
 
 def tanh(x: Tensor) -> Tensor:
-    if isinstance(x, np.ndarray):
-        return np.tanh(x)
     return as_tensor(x).tanh()
 
 
 def relu(x: Tensor) -> Tensor:
-    if isinstance(x, np.ndarray):
-        return inference.relu_nd(x)
     return as_tensor(x).relu()
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    if isinstance(x, np.ndarray):
-        return inference.softmax_nd(x, axis=axis)
     return as_tensor(x).softmax(axis=axis)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    if isinstance(x, np.ndarray):
-        return inference.log_softmax_nd(x, axis=axis)
     return as_tensor(x).log_softmax(axis=axis)
 
 
@@ -66,8 +54,6 @@ def masked_softmax(x: Tensor, mask: np.ndarray, axis: int = -1) -> Tensor:
     receive zero probability.  Rows that are fully masked produce zeros rather
     than NaNs.
     """
-    if isinstance(x, np.ndarray):
-        return inference.masked_softmax_nd(x, mask, axis=axis)
     x = as_tensor(x)
     mask = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
     neg_inf = np.where(mask, 0.0, -1e30)

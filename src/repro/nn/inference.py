@@ -1,161 +1,57 @@
-"""Tape-free float32 inference fast path for ``repro.nn``.
+"""Tape-free float32 scan kernels behind ``repro.nn``'s inference mode.
 
-At RAPID's serving shapes (one user history through the Bi-LSTM and the
-per-topic encoders, a few hundred candidates) Python dispatch and autograd
-node allocation — not FLOPs — dominate rerank latency.  The op-table
-refactor in :mod:`repro.nn.tensor` already skips closure creation when no
-tape is active; this module goes further and removes :class:`Tensor` from
-the serving path entirely.  ``Module.infer`` runs a module's forward pass
-on raw ndarrays in the inference dtype (float32 by default), with weights
-cast — and, for the recurrent cells, gate-reordered — exactly once per
-parameter load and cached against the parameter array's identity.
+Serving runs every module's one ``forward`` inside an
+:class:`~repro.nn.tensor.infer_mode` block (what ``Module.infer``
+enters): no tape, eval semantics, float32 Tensor data, with the float64
+parameters cast per op call.  Casting every parameter of a RAPID forward
+costs tens of microseconds against a forward of milliseconds, so nothing
+is cached and no cache can go stale.  At serving shapes the recurrent
+scans' per-step Python loop is the cost that matters, and for float32
+inputs the fused scan ops of :mod:`repro.nn.kernels` run the
+allocation-free kernels here instead of their training loops:
 
-Serving always takes this path.  Two test-facing selectors remain:
+- :func:`lstm_scan_infer` / :func:`gru_scan_infer` — one scan each; the
+  time-major copy the scan makes anyway also reorders the LSTM's training
+  gate order ``[i, f, g, o]`` to ``[i, f, o, g]``, so the three sigmoid
+  gates form one contiguous block, and negates the sigmoid gates'
+  pre-activations (see the section comment below);
+- :func:`bilstm_scan_infer` — both directions of a Bi-LSTM packed into
+  the *hidden* axis of one scan (per-unit masks carry the backward
+  half's time-reversed padding).
 
-- :func:`use_infer` (``False``) restores the float64 tape path
-  bit-identically for a block, everywhere the serving layer dispatches —
-  the reference the golden slates and the benchmark's drift check compare
-  against;
-- ``REPRO_NN_INFER_DTYPE=float64`` keeps the tape-free dispatch but runs it
-  in double precision (useful for isolating dtype drift from path drift).
+:func:`use_infer` (``False``) makes inference blocks float64 on the
+training kernels for a block — bit for bit the ``no_grad`` eval forward,
+which the golden slates and the benchmark's drift check compare against.
 
 Parity is enforced by the differential oracle (``repro.testing.oracle``
-replays every fused-kernel case on this path with explicit tolerance/ULP
-budgets), the golden-slate suite (identical item ids fast vs tape for every
-reranker), and the autograd fuzzer (tape vs no-tape forward equality).
-
-Weight-cast cache contract: optimizer steps and ``load_state_dict`` rebind
-``param.data`` to a fresh array (they never mutate in place), so caches are
-keyed on the identity of the source arrays and invalidate automatically on
-the next load.  Code that mutates ``param.data`` in place must call
-:func:`invalidate_caches` afterwards.
+replays every fused-kernel case on these kernels with explicit
+tolerance/ULP budgets), the golden-slate suite (identical slates float32
+vs float64 for every reranker), and the per-layer drift tests.
 
 Profiling: when the ``repro.obs`` op profiler is enabled it installs
-:data:`_PROFILE_HOOK`; the named kernels below then report wall time under
+:data:`_PROFILE_HOOK`; the kernels below then report wall time under
 ``dispatch=infer`` so ``python -m repro.obs.report`` can attribute serving
-time to this path.  Disabled cost is a single module-global ``None`` check
-per kernel call (gated by ``benchmarks/bench_obs_overhead.py``).
+time to them.  Disabled cost is a single module-global ``None`` check per
+kernel call (gated by ``benchmarks/bench_obs_overhead.py``).
 """
 
 from __future__ import annotations
 
-import os
 import time
-from contextlib import contextmanager
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
+from .tensor import use_infer
+
 __all__ = [
-    "infer_enabled",
     "use_infer",
-    "infer_dtype",
-    "cached_weights",
-    "invalidate_caches",
-    "sigmoid_nd",
-    "softmax_nd",
-    "log_softmax_nd",
-    "masked_softmax_nd",
-    "relu_nd",
-    "layer_norm_nd",
-    "linear_nd",
     "lstm_scan_infer",
     "gru_scan_infer",
-    "lstm_infer_weights",
-    "gru_infer_weights",
+    "bilstm_scan_infer",
     "INFER_CASES",
     "register_infer_case",
 ]
-
-# ----------------------------------------------------------------------
-# Tape-path selector for tests: use_infer(False) restores the autograd tape
-# path everywhere the serving layer dispatches.
-# ----------------------------------------------------------------------
-
-_INFER = True
-
-
-def infer_enabled() -> bool:
-    """Whether serving code should use the tape-free inference path."""
-    return _INFER
-
-
-@contextmanager
-def use_infer(value: bool):
-    """Temporarily force the inference (or tape) path within a block."""
-    global _INFER
-    previous, _INFER = _INFER, value
-    try:
-        yield
-    finally:
-        _INFER = previous
-
-
-_DTYPE_MEMO: dict[str, np.dtype] = {}
-
-
-def infer_dtype() -> np.dtype:
-    """Compute dtype of the inference path (``REPRO_NN_INFER_DTYPE``).
-
-    The env var is re-read every call (tests monkeypatch it); only the
-    string -> dtype construction is memoized — it shows up in serving
-    profiles via the per-layer weight-cache checks.
-    """
-    name = os.environ.get("REPRO_NN_INFER_DTYPE", "float32")
-    dtype = _DTYPE_MEMO.get(name)
-    if dtype is None:
-        dtype = _DTYPE_MEMO.setdefault(name, np.dtype(name))
-    return dtype
-
-
-# ----------------------------------------------------------------------
-# Per-module weight-cast cache.
-#
-# A cache entry is keyed on the *identity* of the source parameter arrays
-# plus the inference dtype: optimizers and load_state_dict rebind
-# ``param.data`` to fresh arrays, so an identity mismatch is exactly "the
-# weights changed".  Entries live in the owning module's __dict__ (modules
-# are plain-attribute objects; Parameters/Modules are intercepted by
-# __setattr__, tuples are not).
-# ----------------------------------------------------------------------
-
-_CACHE_PREFIX = "_infer_cache_"
-
-
-def cached_weights(module, key: str, params: Sequence, build: Callable):
-    """Return ``build(dtype)`` cached on ``module`` until weights rebind.
-
-    ``params`` are the Tensors/Parameters the value derives from;
-    ``build(dtype)`` is invoked only when no entry exists, the inference
-    dtype changed, or any source array was rebound.
-    """
-    attr = _CACHE_PREFIX + key
-    bases = tuple(p.data for p in params)
-    dtype = infer_dtype()
-    entry = module.__dict__.get(attr)
-    if (
-        entry is not None
-        and entry[1] == dtype
-        and len(entry[0]) == len(bases)
-        and all(a is b for a, b in zip(entry[0], bases))
-    ):
-        return entry[2]
-    value = build(dtype)
-    module.__dict__[attr] = (bases, dtype, value)
-    return value
-
-
-def invalidate_caches(module) -> None:
-    """Drop every cached weight cast below ``module`` (recursive).
-
-    Only needed after *in-place* mutation of ``param.data``; rebinding
-    invalidates automatically.
-    """
-    for key in [k for k in module.__dict__ if k.startswith(_CACHE_PREFIX)]:
-        del module.__dict__[key]
-    for child in module.children():
-        invalidate_caches(child)
-
 
 # ----------------------------------------------------------------------
 # Op-profiler hook.  ``repro.obs.autograd`` installs/clears this when the
@@ -186,192 +82,102 @@ def _profiled(fn: Callable) -> Callable:
 
 
 # ----------------------------------------------------------------------
-# ndarray kernels.  Numerics mirror the Tensor ops (same stable single-exp
-# sigmoid, same max-shifted softmax) so fast-vs-tape drift is pure dtype
-# rounding, bounded by the differential oracle.
-# ----------------------------------------------------------------------
-
-
-def sigmoid_nd(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic on a raw array (mirrors Tensor.sigmoid)."""
-    decay = np.abs(x)
-    np.negative(decay, out=decay)
-    np.exp(decay, out=decay)
-    out = np.where(x >= 0, x.dtype.type(1.0), decay)
-    decay += x.dtype.type(1.0)
-    np.divide(out, decay, out=out)
-    return out
-
-
-def _sigmoid_inplace(x: np.ndarray) -> None:
-    """In-place logistic ``1 / (1 + exp(-x))`` — four allocation-free ufuncs.
-
-    The direct form trades the stable branch of :func:`sigmoid_nd` for two
-    fewer ufunc calls and zero temporaries; at serving shapes the scan's
-    per-step arrays are tiny, so call count — not FLOPs — is the cost.
-    Overflow for strongly negative inputs is benign (``exp -> inf`` then
-    ``1/inf -> 0``, the exact saturation value); callers wrap the loop in
-    ``np.errstate(over="ignore")``.  Agreement with the stable form is a
-    couple of ULPs, covered by the differential-oracle budgets.
-    """
-    np.negative(x, out=x)
-    np.exp(x, out=x)
-    x += x.dtype.type(1.0)
-    np.reciprocal(x, out=x)
-
-
-def relu_nd(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, x.dtype.type(0.0))
-
-
-def softmax_nd(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = x - x.max(axis=axis, keepdims=True)
-    np.exp(shifted, out=shifted)
-    shifted /= shifted.sum(axis=axis, keepdims=True)
-    return shifted
-
-
-def log_softmax_nd(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = x - x.max(axis=axis, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    shifted -= log_z
-    return shifted
-
-
-def masked_softmax_nd(
-    x: np.ndarray, mask: np.ndarray, axis: int = -1
-) -> np.ndarray:
-    """Softmax with masked positions zeroed (mirrors functional.masked_softmax)."""
-    mask = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
-    neg = np.where(mask, x.dtype.type(0.0), x.dtype.type(-1e30))
-    out = softmax_nd(x + neg, axis=axis)
-    any_valid = mask.any(axis=axis, keepdims=True)
-    out *= any_valid
-    return out
-
-
-@_profiled
-def layer_norm_nd(
-    x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float
-) -> np.ndarray:
-    mean = x.mean(axis=-1, keepdims=True)
-    centered = x - mean
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    var += x.dtype.type(eps)
-    centered *= var ** x.dtype.type(-0.5)
-    centered *= gamma
-    centered += beta
-    return centered
-
-
-@_profiled
-def linear_nd(
-    x: np.ndarray, weight_t: np.ndarray, bias: np.ndarray | None
-) -> np.ndarray:
-    out = x @ weight_t
-    if bias is not None:
-        out += bias
-    return out
-
-
-# ----------------------------------------------------------------------
 # Recurrent scan kernels.
 #
-# The LSTM weights are reordered once at cast time from the training
-# packing [input, forget, cell, output] to [input, forget, output, cell],
-# making the three sigmoid gates one contiguous block — the per-step
-# ``np.concatenate`` of the tape kernels disappears.  GRU gates
-# [reset, update, new] already have their sigmoid pair contiguous.
+# The loops run on a "scan layout" prepared by one copy per call:
 #
-# Both scans accept arbitrary leading batch dimensions: a Bi-LSTM stacks
-# its two directions into a (2, B, T, 4H) input with (2, H, 4H) weights
-# and runs ONE scan whose per-step recurrent matmul batches over the
-# direction axis — halving the sequential Python loop, the dominant cost
-# at serving shapes.  (When no mask is in play, BiLSTM.infer goes further
-# and packs both directions into the *hidden* axis with a block-diagonal
-# recurrent matrix, turning the per-step matmul 2-D; see
-# layers/recurrent.py.)  Inside the loops the sigmoid is the direct
-# in-place form (:func:`_sigmoid_inplace`), not the stable branch of
-# :func:`sigmoid_nd` — a couple of ULPs apart, bounded by the oracle.
+# - time-major (T, ..., width), so per-step slices are contiguous;
+# - LSTM gates permuted from the training order [input, forget, cell,
+#   output] to [input, forget, output, cell] (inputs and weights), making
+#   the three sigmoid gates one contiguous block (the training kernels'
+#   per-step ``np.concatenate`` disappears); GRU gates [reset, update,
+#   new] already have their sigmoid pair first;
+# - sigmoid-gate pre-activations *negated*, in the inputs and in the
+#   recurrent weights' columns, so the loop's sigmoid ``1 / (1 + exp(-x))``
+#   is three in-place ufuncs on ``-x`` instead of four.  Negation is exact
+#   in IEEE arithmetic (products, sums and the matmul's accumulation are
+#   sign-symmetric), so the results equal the un-negated form bit for bit.
+#
+# The direct sigmoid form differs from the training kernels' stable branch
+# by a couple of ULPs, bounded by the oracle.  Overflow for strongly
+# negative inputs is benign (``exp -> inf`` then ``1/inf -> 0``, the exact
+# saturation value), so the loops run under ``np.errstate(over="ignore")``.
+# Both scans accept arbitrary leading batch dimensions.
 # ----------------------------------------------------------------------
 
 
-def _lstm_gate_order(hidden: int) -> np.ndarray:
-    """Index permutation [i, f, g, o] -> [i, f, o, g] on a 4H gate axis."""
-    block = np.arange(hidden)
-    return np.concatenate(
-        [block, hidden + block, 3 * hidden + block, 2 * hidden + block]
-    )
+# The layout copies negate with ``np.multiply(x, -1, out=...)``: numpy 2.4's
+# float32 ``np.negative`` reads the wrong elements when writing ``out=`` a
+# strided view whose last axis has length 1 (e.g. hidden size 1).
+_MINUS_ONE = np.float32(-1.0)
 
 
-def lstm_infer_weights(cell) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(w_ih^T, bias, w_hh^T) cast to the inference dtype, gates reordered.
+def _lstm_scan_gates(dst: np.ndarray, src: np.ndarray) -> None:
+    """Copy (..., 4, H) LSTM gate blocks into the scan layout.
 
-    Cached on ``cell`` (an :class:`~repro.nn.layers.recurrent.LSTMCell`)
-    until its parameters are rebound.
+    ``src`` is in the training order [i, f, g, o]; ``dst`` receives
+    [-i, -f, -o, g].
     """
-
-    def build(dtype):
-        perm = _lstm_gate_order(cell.hidden_size)
-        w_ih_t = np.ascontiguousarray(cell.w_ih.data[perm].T, dtype=dtype)
-        w_hh_t = np.ascontiguousarray(cell.w_hh.data[perm].T, dtype=dtype)
-        bias = np.ascontiguousarray(cell.bias.data[perm], dtype=dtype)
-        return w_ih_t, bias, w_hh_t
-
-    return cached_weights(
-        cell, "lstm", (cell.w_ih, cell.w_hh, cell.bias), build
-    )
+    np.multiply(src[..., :2, :], _MINUS_ONE, out=dst[..., :2, :])
+    np.multiply(src[..., 3, :], _MINUS_ONE, out=dst[..., 2, :])
+    dst[..., 3, :] = src[..., 2, :]
 
 
-def gru_infer_weights(cell) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(w_ih^T, bias, w_hh^T) cast to the inference dtype ([r, u, n] kept)."""
+def _lstm_layout(x: np.ndarray, dtype) -> np.ndarray:
+    """(..., 4H) LSTM pre-activations or weights -> scan layout, cast."""
+    out = np.empty(x.shape, dtype=dtype)
+    split = x.shape[:-1] + (4, x.shape[-1] // 4)
+    _lstm_scan_gates(out.reshape(split), x.reshape(split))
+    return out
 
-    def build(dtype):
-        w_ih_t = np.ascontiguousarray(cell.w_ih.data.T, dtype=dtype)
-        w_hh_t = np.ascontiguousarray(cell.w_hh.data.T, dtype=dtype)
-        bias = np.ascontiguousarray(cell.bias.data, dtype=dtype)
-        return w_ih_t, bias, w_hh_t
 
-    return cached_weights(
-        cell, "gru", (cell.w_ih, cell.w_hh, cell.bias), build
-    )
+def _gru_layout(x: np.ndarray, dtype) -> np.ndarray:
+    """(..., 3H) GRU pre-activations or weights -> scan layout, cast."""
+    out = np.empty(x.shape, dtype=dtype)
+    width = 2 * (x.shape[-1] // 3)
+    np.multiply(x[..., :width], _MINUS_ONE, out=out[..., :width])
+    out[..., width:] = x[..., width:]
+    return out
 
 
 def _time_major(x: np.ndarray) -> np.ndarray:
-    """(..., T, D) -> contiguous (T, ..., D) so per-step slices are cheap."""
-    return np.ascontiguousarray(np.moveaxis(x, -2, 0))
+    """(..., T, D) -> (T, ..., D) view."""
+    rank = x.ndim
+    return x.transpose((rank - 2,) + tuple(range(rank - 2)) + (rank - 1,))
 
 
-def _effective_mask(mask: np.ndarray | None) -> np.ndarray | None:
+def _batch_major(x: np.ndarray) -> np.ndarray:
+    """(T, ..., D) -> (..., T, D) view (inverse of :func:`_time_major`)."""
+    rank = x.ndim
+    return x.transpose(tuple(range(1, rank - 1)) + (0, rank - 1))
+
+
+def _skip_steps(mask: np.ndarray | None, ndim: int) -> np.ndarray | None:
+    """Time-major "carry the previous state" flags, or None when all valid.
+
+    ``mask`` is (..., T) — one flag per row and step — or (..., T, H), one
+    per hidden unit; ``ndim`` is the rank of the scan input.  Fully-valid
+    masks (the common serving case: fixed-length candidate lists) skip
+    the per-step blend entirely.
+    """
     if mask is None:
         return None
     mask = np.asarray(mask, dtype=bool)
-    # Fully-valid masks (the common serving case: fixed-length candidate
-    # lists) skip the per-step blend entirely.
     if mask.all():
         return None
-    return mask
+    if mask.ndim < ndim:
+        mask = mask[..., None]
+    return ~_time_major(mask)
 
 
-@_profiled
-def lstm_scan_infer(
-    gi: np.ndarray, w_hh_t: np.ndarray, mask: np.ndarray | None = None
+def _lstm_loop(
+    gi_t: np.ndarray, w_hh_t: np.ndarray, skip_t: np.ndarray | None
 ) -> np.ndarray:
-    """Inference LSTM scan on raw arrays (zero initial state).
-
-    ``gi`` is (..., T, 4H) input pre-activations with gates packed
-    [input, forget, output, cell] (see :func:`lstm_infer_weights`);
-    ``w_hh_t`` is (..., H, 4H) so the recurrent matmul broadcasts over any
-    leading direction/batch axes.  Returns (..., T, H) hidden states
-    (post-mask; padded steps carry the previous state).
-    """
-    hs = gi.shape[-1] // 4
-    lead = gi.shape[:-2]
-    steps = gi.shape[-2]
-    gi_t = _time_major(gi)
-    mask = _effective_mask(mask)
-    mask_t = None if mask is None else np.moveaxis(mask, -1, 0)
-    dt = gi.dtype
+    """The LSTM recurrence on scan-layout inputs; returns (T, ..., H)."""
+    steps = gi_t.shape[0]
+    lead = gi_t.shape[1:-1]
+    hs = gi_t.shape[-1] // 4
+    dt = gi_t.dtype
     h: np.ndarray = np.zeros(lead + (hs,), dtype=dt)
     c = np.zeros(lead + (hs,), dtype=dt)
     out = np.empty((steps,) + lead + (hs,), dtype=dt)
@@ -389,17 +195,15 @@ def lstm_scan_infer(
     gate_g = z[..., 3 * hs :]
     g = np.empty(lead + (hs,), dtype=dt)
     # The loop body is the whole serving cost at T=200: ufunc lookups are
-    # hoisted to locals, the sigmoid is inlined (see _sigmoid_inplace for
-    # the form and the overflow note), and zip() hands out the per-step
-    # views without integer indexing.
-    mm, neg, exp, rec, tanh = np.matmul, np.negative, np.exp, np.reciprocal, np.tanh
+    # hoisted to locals, the sigmoid is inlined, and zip() hands out the
+    # per-step views without integer indexing.
+    mm, exp, rec, tanh = np.matmul, np.exp, np.reciprocal, np.tanh
     one = dt.type(1.0)
-    with np.errstate(over="ignore"):  # see _sigmoid_inplace
-        if mask_t is None:
+    with np.errstate(over="ignore"):
+        if skip_t is None:
             for o, a in zip(out, gi_t):
                 mm(h, w_hh_t, out=z)
                 z += a
-                neg(sig, out=sig)
                 exp(sig, out=sig)
                 sig += one
                 rec(sig, out=sig)
@@ -414,13 +218,11 @@ def lstm_scan_infer(
             # Padded steps carry the previous state: compute into swap
             # buffers, then copy the previous h/c back over masked rows
             # (np.copyto with where= is np.where without the allocation).
-            nk_t = ~mask_t
             hb = np.empty(lead + (hs,), dtype=dt)
             cb = np.empty(lead + (hs,), dtype=dt)
-            for o, a, skip in zip(out, gi_t, nk_t):
+            for o, a, skip in zip(out, gi_t, skip_t):
                 mm(h, w_hh_t, out=z)
                 z += a
-                neg(sig, out=sig)
                 exp(sig, out=sig)
                 sig += one
                 rec(sig, out=sig)
@@ -430,13 +232,33 @@ def lstm_scan_infer(
                 cb += g
                 tanh(cb, out=hb)
                 hb *= gate_o
-                skip = skip[..., None]
                 np.copyto(hb, h, where=skip)
                 np.copyto(cb, c, where=skip)
                 o[...] = hb
                 h, hb = hb, h
                 c, cb = cb, c
-    return np.moveaxis(out, 0, -2)
+    return out
+
+
+@_profiled
+def lstm_scan_infer(
+    gi: np.ndarray, w_hh_t: np.ndarray, mask: np.ndarray | None = None
+) -> np.ndarray:
+    """Inference LSTM scan on raw arrays (zero initial state).
+
+    ``gi`` is (..., T, 4H) input pre-activations and ``w_hh_t`` the
+    (..., H, 4H) transposed recurrent weights (broadcasting over any
+    leading batch axes), both with gates in the training order [input,
+    forget, cell, output].  ``w_hh_t`` may be float64: it is cast to
+    ``gi``'s dtype in the layout copy.  ``mask`` is (..., T) or per hidden
+    unit (..., T, H).  Returns (..., T, H) hidden states (post-mask;
+    padded steps carry the previous state).
+    """
+    dt = gi.dtype
+    gi_t = _lstm_layout(_time_major(gi), dt)
+    w_t = _lstm_layout(w_hh_t, dt)
+    out = _lstm_loop(gi_t, w_t, _skip_steps(mask, gi.ndim))
+    return _batch_major(out)
 
 
 @_profiled
@@ -446,19 +268,22 @@ def gru_scan_infer(
     """Inference GRU scan on raw arrays (zero initial state).
 
     ``gi`` is (..., T, 3H) input pre-activations packed [reset, update,
-    new]; ``w_hh_t`` is (..., H, 3H).  Returns (..., T, H).
+    new]; ``w_hh_t`` is (..., H, 3H), cast to ``gi``'s dtype in the layout
+    copy; ``mask`` is (..., T) or (..., T, H).  Returns (..., T, H).
     """
     hs = gi.shape[-1] // 3
     lead = gi.shape[:-2]
     steps = gi.shape[-2]
-    gi_t = _time_major(gi)
-    mask = _effective_mask(mask)
-    mask_t = None if mask is None else np.moveaxis(mask, -1, 0)
     dt = gi.dtype
+    gi_t = _gru_layout(_time_major(gi), dt)
+    w_t = _gru_layout(w_hh_t, dt)
+    skip_t = _skip_steps(mask, gi.ndim)
     h: np.ndarray = np.zeros(lead + (hs,), dtype=dt)
     out = np.empty((steps,) + lead + (hs,), dtype=dt)
     one = dt.type(1.0)
-    # Allocation-free loop buffers, mirroring lstm_scan_infer.
+    # Allocation-free loop buffers, mirroring _lstm_loop.  The reset and
+    # update pre-activations arrive negated; the candidate's recurrent
+    # half ``gh_n`` does not.
     gh = np.empty(lead + (3 * hs,), dtype=dt)
     ru = np.empty(lead + (2 * hs,), dtype=dt)
     r = ru[..., :hs]
@@ -466,15 +291,14 @@ def gru_scan_infer(
     n = np.empty(lead + (hs,), dtype=dt)
     gh_ru = gh[..., : 2 * hs]
     gh_n = gh[..., 2 * hs :]
-    # Same loop treatment as lstm_scan_infer: local ufuncs, inlined
-    # sigmoid, zip-provided per-step views.
-    mm, neg, exp, rec, tanh = np.matmul, np.negative, np.exp, np.reciprocal, np.tanh
-    with np.errstate(over="ignore"):  # see _sigmoid_inplace
-        if mask_t is None:
+    # Same loop treatment as _lstm_loop: local ufuncs, inlined sigmoid,
+    # zip-provided per-step views.
+    mm, exp, rec, tanh = np.matmul, np.exp, np.reciprocal, np.tanh
+    with np.errstate(over="ignore"):
+        if skip_t is None:
             for o, a in zip(out, gi_t):
-                mm(h, w_hh_t, out=gh)
+                mm(h, w_t, out=gh)
                 np.add(a[..., : 2 * hs], gh_ru, out=ru)
-                neg(ru, out=ru)
                 exp(ru, out=ru)
                 ru += one
                 rec(ru, out=ru)
@@ -488,12 +312,10 @@ def gru_scan_infer(
                 np.multiply(u, h_prev, out=h)
                 h += n
         else:
-            nk_t = ~mask_t
             hb = np.empty(lead + (hs,), dtype=dt)
-            for o, a, skip in zip(out, gi_t, nk_t):
-                mm(h, w_hh_t, out=gh)
+            for o, a, skip in zip(out, gi_t, skip_t):
+                mm(h, w_t, out=gh)
                 np.add(a[..., : 2 * hs], gh_ru, out=ru)
-                neg(ru, out=ru)
                 exp(ru, out=ru)
                 ru += one
                 rec(ru, out=ru)
@@ -504,10 +326,58 @@ def gru_scan_infer(
                 n *= r
                 np.multiply(u, h, out=hb)
                 hb += n
-                np.copyto(hb, h, where=skip[..., None])
+                np.copyto(hb, h, where=skip)
                 o[...] = hb
                 h, hb = hb, h
-    return np.moveaxis(out, 0, -2)
+    return _batch_major(out)
+
+
+@_profiled
+def bilstm_scan_infer(
+    gi_f: np.ndarray,
+    gi_b: np.ndarray,
+    w_hh_f: np.ndarray,
+    w_hh_b: np.ndarray,
+    mask: np.ndarray | None = None,
+) -> np.ndarray:
+    """Both directions of a Bi-LSTM in ONE scan; returns (B, T, 2H).
+
+    ``gi_f`` / ``gi_b`` are the (B, T, 4H) training-order input
+    pre-activations of the forward LSTM and of the backward LSTM over the
+    time-reversed input; ``w_hh_f`` / ``w_hh_b`` their (4H, H) recurrent
+    weights; ``mask`` the (B, T) validity of the forward time axis.
+
+    The directions are packed into the *hidden* axis: the state is
+    (B, 2H) ``[fwd | bwd]`` and the recurrent matrix a block-diagonal
+    (2H, 8H) with gates grouped by type across directions
+    ``[i_f i_b | f_f f_b | o_f o_b | g_f g_b]``, so the T-step loop runs
+    once with a 2-D per-step matmul.  The backward half's padding is
+    time-reversed, so a padded batch gets a per-hidden-unit mask.
+    """
+    batch, steps, width = gi_f.shape
+    hidden = width // 4
+    dt = gi_f.dtype
+    # One copy builds the scan layout of both directions: time-major,
+    # (gate, direction, H) on the last axis.
+    gi_t = np.empty((steps, batch, 4, 2, hidden), dtype=dt)
+    w_t = np.zeros((2, hidden, 4, 2, hidden), dtype=dt)
+    for d, (gi, w_hh) in enumerate(((gi_f, w_hh_f), (gi_b, w_hh_b))):
+        gates = gi.reshape(batch, steps, 4, hidden).transpose(1, 0, 2, 3)
+        _lstm_scan_gates(gi_t[:, :, :, d], gates)
+        _lstm_scan_gates(w_t[d, :, :, d], w_hh.T.reshape(hidden, 4, hidden))
+    skip_t = None
+    if mask is not None and not np.all(mask):
+        mask = np.asarray(mask, dtype=bool)
+        both = np.stack([mask.T, mask.T[::-1]], axis=-1)  # (T, B, 2)
+        skip_t = ~np.repeat(both, hidden, axis=-1)  # (T, B, 2H)
+    out = _lstm_loop(
+        gi_t.reshape(steps, batch, 8 * hidden),
+        w_t.reshape(2 * hidden, 8 * hidden),
+        skip_t,
+    )
+    # (T, B, [fwd | bwd]) -> (B, T, 2H), un-reversing the backward half.
+    out = out.transpose(1, 0, 2)
+    return np.concatenate([out[..., :hidden], out[:, ::-1, hidden:]], axis=-1)
 
 
 # ----------------------------------------------------------------------
@@ -515,12 +385,12 @@ def gru_scan_infer(
 #
 # Mirrors ``repro.nn.kernels.ORACLE_CASES``: every fused kernel registers
 # an inference twin here so ``repro.testing.oracle`` can replay the
-# tape-free path against the float64 tape reference with explicit
+# tape-free kernel against the float64 tape reference with explicit
 # tolerance / ULP budgets (the budgets live in the oracle, the cases
 # here).  ``build(rng)`` returns ``(reference_fn, infer_fn, arrays,
 # input_names)``: ``reference_fn`` consumes float64 arrays through the
-# tape path, ``infer_fn`` consumes arrays pre-cast to the inference
-# dtype through the production kernels above.
+# tape path, ``infer_fn`` consumes arrays pre-cast to float32 through the
+# production kernels above.
 # ----------------------------------------------------------------------
 
 INFER_CASES: dict[str, object] = {}
@@ -548,10 +418,8 @@ def _build_lstm_cell_infer_case(rng):
     def fast(gates_a):
         # The production cell body lives inside the scan: a T=1 scan with
         # zero recurrent weights replays it (zero initial state).
-        perm = _lstm_gate_order(hidden)
-        gi = np.ascontiguousarray(gates_a[:, None, perm])
-        w_hh_t = np.zeros((hidden, 4 * hidden), dtype=gi.dtype)
-        return lstm_scan_infer(gi, w_hh_t, mask[:, None])[:, 0, :]
+        w_hh_t = np.zeros((hidden, 4 * hidden), dtype=gates_a.dtype)
+        return lstm_scan_infer(gates_a[:, None, :], w_hh_t, mask[:, None])[:, 0, :]
 
     return reference, fast, (gates,), ("gates",)
 
@@ -593,12 +461,7 @@ def _build_lstm_scan_infer_case(rng):
         return out.data
 
     def fast(gi_a, w_a):
-        perm = _lstm_gate_order(hidden)
-        return lstm_scan_infer(
-            np.ascontiguousarray(gi_a[..., perm]),
-            np.ascontiguousarray(w_a[perm].T),
-            mask,
-        )
+        return lstm_scan_infer(gi_a, w_a.T, mask)
 
     return reference, fast, (gi, w_hh), ("gi", "w_hh")
 
@@ -623,111 +486,32 @@ def _build_gru_scan_infer_case(rng):
     return reference, fast, (gi, w_hh), ("gi", "w_hh")
 
 
-def _build_sigmoid_infer_case(rng):
+def _build_bilstm_scan_infer_case(rng):
     from .tensor import Tensor, no_grad
 
-    x = rng.normal(size=(4, 7)) * 3.0
-
-    def reference(x_a):
-        with no_grad():
-            return Tensor(x_a).sigmoid().data
-
-    return reference, sigmoid_nd, (x,), ("x",)
-
-
-def _build_softmax_infer_case(rng):
-    from .tensor import Tensor, no_grad
-
-    x = rng.normal(size=(4, 7)) * 3.0
-
-    def reference(x_a):
-        with no_grad():
-            return Tensor(x_a).softmax(axis=-1).data
-
-    return reference, softmax_nd, (x,), ("x",)
-
-
-def _build_log_softmax_infer_case(rng):
-    from .tensor import Tensor, no_grad
-
-    x = rng.normal(size=(4, 7)) * 3.0
-
-    def reference(x_a):
-        with no_grad():
-            return Tensor(x_a).log_softmax(axis=-1).data
-
-    return reference, log_softmax_nd, (x,), ("x",)
-
-
-def _build_masked_softmax_infer_case(rng):
-    from . import functional as F
-    from .tensor import Tensor, no_grad
-
-    x = rng.normal(size=(4, 7)) * 3.0
-    mask = rng.random((4, 7)) < 0.7
+    batch, time_steps, hidden = 2, 5, 3
+    gi_f, gi_b = rng.normal(size=(2, batch, time_steps, 4 * hidden)) * 0.8
+    w_f, w_b = rng.normal(size=(2, 4 * hidden, hidden)) * 0.4
+    mask = rng.random((batch, time_steps)) < 0.8
     mask[:, 0] = True
-    mask[2] = False  # one fully-masked row exercises the zeroing branch
+    mask[1, -1] = False  # padded, so the per-unit reversed mask runs
 
-    def reference(x_a):
+    def reference(gi_f_a, gi_b_a, w_f_a, w_b_a):
         with no_grad():
-            return F.masked_softmax(Tensor(x_a), mask, axis=-1).data
+            fwd = Tensor.lstm_scan_fused(Tensor(gi_f_a), Tensor(w_f_a), mask)
+            bwd = Tensor.lstm_scan_fused(
+                Tensor(gi_b_a), Tensor(w_b_a), mask[:, ::-1]
+            )
+        return np.concatenate([fwd.data, bwd.data[:, ::-1]], axis=-1)
 
-    def fast(x_a):
-        return masked_softmax_nd(x_a, mask, axis=-1)
+    def fast(gi_f_a, gi_b_a, w_f_a, w_b_a):
+        return bilstm_scan_infer(gi_f_a, gi_b_a, w_f_a, w_b_a, mask)
 
-    return reference, fast, (x,), ("x",)
-
-
-def _build_layer_norm_infer_case(rng):
-    from .layers.normalization import LayerNorm
-    from .tensor import Tensor, no_grad
-
-    dim = 6
-    x = rng.normal(size=(3, 5, dim)) * 2.0
-    layer = LayerNorm(dim)
-    layer.gamma.data = rng.normal(size=dim) * 0.5 + 1.0
-    layer.beta.data = rng.normal(size=dim) * 0.1
-
-    def reference(x_a):
-        with no_grad():
-            return layer(Tensor(x_a)).data
-
-    def fast(x_a):
-        gamma = layer.gamma.data.astype(x_a.dtype)
-        beta = layer.beta.data.astype(x_a.dtype)
-        return layer_norm_nd(x_a, gamma, beta, layer.eps)
-
-    return reference, fast, (x,), ("x",)
-
-
-def _build_linear_infer_case(rng):
-    from .tensor import Tensor, no_grad
-
-    weight = rng.normal(size=(5, 8)) * 0.4
-    bias = rng.normal(size=5) * 0.2
-    x = rng.normal(size=(3, 8))
-
-    def reference(x_a):
-        with no_grad():
-            return (Tensor(x_a) @ Tensor(weight.T) + Tensor(bias)).data
-
-    def fast(x_a):
-        return linear_nd(
-            x_a,
-            np.ascontiguousarray(weight.T, dtype=x_a.dtype),
-            bias.astype(x_a.dtype),
-        )
-
-    return reference, fast, (x,), ("x",)
+    return reference, fast, (gi_f, gi_b, w_f, w_b), ("gi_f", "gi_b", "w_hh_f", "w_hh_b")
 
 
 register_infer_case("lstm_cell_fused", _build_lstm_cell_infer_case)
 register_infer_case("gru_cell_fused", _build_gru_cell_infer_case)
 register_infer_case("lstm_scan_fused", _build_lstm_scan_infer_case)
 register_infer_case("gru_scan_fused", _build_gru_scan_infer_case)
-register_infer_case("sigmoid_nd", _build_sigmoid_infer_case)
-register_infer_case("softmax_nd", _build_softmax_infer_case)
-register_infer_case("log_softmax_nd", _build_log_softmax_infer_case)
-register_infer_case("masked_softmax_nd", _build_masked_softmax_infer_case)
-register_infer_case("layer_norm_nd", _build_layer_norm_infer_case)
-register_infer_case("linear_nd", _build_linear_infer_case)
+register_infer_case("bilstm_scan", _build_bilstm_scan_infer_case)

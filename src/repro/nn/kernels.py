@@ -29,6 +29,11 @@ The ops are registered on :class:`Tensor` via
 :func:`repro.nn.tensor.register_custom_op` so the opt-in op profiler
 (``repro.obs.autograd``) attributes their forward and backward time under
 ``lstm_cell_fused`` / ``gru_cell_fused``.
+
+Serving runs the same ops: inside a float32 inference block
+(``Module.infer``) the scans receive float32 inputs and run the tape-free
+kernels of :mod:`repro.nn.inference` instead, and :func:`bilstm_scan`
+runs a Bi-LSTM's two directions as one packed scan.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from . import inference
 from .tensor import Tensor, as_tensor, register_custom_op, restore_ops
 
 __all__ = [
@@ -44,6 +50,7 @@ __all__ = [
     "gru_cell_fused",
     "lstm_scan_fused",
     "gru_scan_fused",
+    "bilstm_scan",
     "use_fused",
     "zero_state",
     "ORACLE_CASES",
@@ -93,19 +100,21 @@ def use_fused(value: bool):
 # Cached zero initial states.  Every sequence (and bare cell call with
 # ``state=None``) used to allocate two fresh (batch, hidden) zero tensors;
 # the state is only ever *read* (the recurrence writes to new tensors), so
-# a per-shape cache of read-only constants is safe to share.
+# a per-shape cache of read-only constants is safe to share.  Keyed by
+# dtype too: float32 inference blocks read float32 zeros.
 # ----------------------------------------------------------------------
 
-_ZERO_STATE_CACHE: dict[tuple[int, ...], Tensor] = {}
+_ZERO_STATE_CACHE: dict[tuple, Tensor] = {}
 
 
-def zero_state(*shape: int) -> Tensor:
+def zero_state(*shape: int, dtype=np.float64) -> Tensor:
     """A cached, read-only all-zeros constant tensor of ``shape``."""
-    cached = _ZERO_STATE_CACHE.get(shape)
+    key = (shape, np.dtype(dtype))
+    cached = _ZERO_STATE_CACHE.get(key)
     if cached is None:
-        data = np.zeros(shape)
+        data = np.zeros(shape, dtype=dtype)
         data.flags.writeable = False
-        cached = _ZERO_STATE_CACHE[shape] = Tensor(data)
+        cached = _ZERO_STATE_CACHE[key] = Tensor._result(data)
     return cached
 
 
@@ -344,10 +353,15 @@ def lstm_scan_fused(
     -------
     (B, T, H) hidden states after every step (post-mask).  The final
     hidden state is ``outputs[:, -1, :]`` — padded tails carry it forward.
+
+    Float32 inputs (which only a float32 inference block produces) run
+    the tape-free :func:`repro.nn.inference.lstm_scan_infer` instead.
     """
     gi = as_tensor(gi)
     w_hh = as_tensor(w_hh)
     z_all = gi.data
+    if z_all.dtype == np.float32:
+        return Tensor._result(inference.lstm_scan_infer(z_all, w_hh.data.T, mask))
     batch, time, width = z_all.shape
     hs = width // 4
     w = w_hh.data
@@ -425,10 +439,13 @@ def gru_scan_fused(
     ``gi`` is (B, T, 3H) input pre-activations, ``w_hh`` is (3H, H); the
     scan computes the recurrent pre-activations ``h W_hh^T`` per step and
     returns (B, T, H) hidden states (post-mask, zero initial state).
+    Float32 inputs run :func:`repro.nn.inference.gru_scan_infer`.
     """
     gi = as_tensor(gi)
     w_hh = as_tensor(w_hh)
     a_all = gi.data
+    if a_all.dtype == np.float32:
+        return Tensor._result(inference.gru_scan_infer(a_all, w_hh.data.T, mask))
     batch, time, width = a_all.shape
     hs = width // 3
     w = w_hh.data
@@ -496,10 +513,39 @@ def gru_scan_fused(
     return Tensor._make(outputs, (gi, w_hh), backward)
 
 
+def bilstm_scan(
+    gi_f: Tensor,
+    gi_b: Tensor,
+    w_hh_f: Tensor,
+    w_hh_b: Tensor,
+    mask: np.ndarray | None = None,
+) -> Tensor:
+    """Both directions of a Bi-LSTM: (B, T, 2H) ``[forward | backward]``.
+
+    ``gi_f`` holds the forward LSTM's (B, T, 4H) input pre-activations,
+    ``gi_b`` the backward LSTM's over the time-reversed input; ``mask`` is
+    the (B, T) validity of the forward time axis.  On the tape this is two
+    :func:`lstm_scan_fused` nodes; float32 inputs run both directions as
+    ONE packed scan (:func:`repro.nn.inference.bilstm_scan_infer`), which
+    halves the per-step Python loop that dominates serving.
+    """
+    if gi_f.data.dtype == np.float32:
+        return Tensor._result(
+            inference.bilstm_scan_infer(
+                gi_f.data, gi_b.data, w_hh_f.data, w_hh_b.data, mask
+            )
+        )
+    rev_mask = mask[:, ::-1] if mask is not None else None
+    fwd = Tensor.lstm_scan_fused(gi_f, w_hh_f, mask)
+    bwd = Tensor.lstm_scan_fused(gi_b, w_hh_b, rev_mask)
+    return Tensor.concatenate([fwd, bwd[:, ::-1, :]], axis=2)
+
+
 register_custom_op("lstm_cell_fused", lstm_cell_fused)
 register_custom_op("gru_cell_fused", gru_cell_fused)
 register_custom_op("lstm_scan_fused", lstm_scan_fused)
 register_custom_op("gru_scan_fused", gru_scan_fused)
+register_custom_op("bilstm_scan", bilstm_scan)
 
 
 # ----------------------------------------------------------------------
@@ -585,7 +631,20 @@ def _build_gru_scan_case(rng):
     return fn, (gi, w_hh), ("gi", "w_hh")
 
 
+def _build_bilstm_scan_case(rng):
+    batch, time, hidden = 2, 4, 3
+    gi_f, gi_b = rng.normal(size=(2, batch, time, 4 * hidden)) * 0.8
+    w_f, w_b = rng.normal(size=(2, 4 * hidden, hidden)) * 0.4
+    mask = _scan_mask(rng, batch, time)
+
+    def fn(gi_f_t, gi_b_t, w_f_t, w_b_t):
+        return Tensor.bilstm_scan(gi_f_t, gi_b_t, w_f_t, w_b_t, mask)
+
+    return fn, (gi_f, gi_b, w_f, w_b), ("gi_f", "gi_b", "w_hh_f", "w_hh_b")
+
+
 register_oracle_case("lstm_cell_fused", _build_lstm_cell_case)
 register_oracle_case("gru_cell_fused", _build_gru_cell_case)
 register_oracle_case("lstm_scan_fused", _build_lstm_scan_case)
 register_oracle_case("gru_scan_fused", _build_gru_scan_case)
+register_oracle_case("bilstm_scan", _build_bilstm_scan_case)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from .. import functional as F
-from .. import inference
 from ..module import Module, Parameter
 from ..tensor import Tensor
 from .linear import Linear
@@ -46,18 +45,6 @@ class SelfAttention(Module):
             attn = F.masked_softmax(scores, key_mask[..., None, :], axis=-1)
         else:
             attn = scores.softmax(axis=-1)
-        return attn @ v
-
-    def infer(self, v: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-        d = v.shape[-1]
-        scores = (v @ np.swapaxes(v, -1, -2)) * v.dtype.type(1.0 / np.sqrt(d))
-        if mask is not None:
-            key_mask = np.asarray(mask, dtype=bool)
-            attn = inference.masked_softmax_nd(
-                scores, key_mask[..., None, :], axis=-1
-            )
-        else:
-            attn = inference.softmax_nd(scores, axis=-1)
         return attn @ v
 
 
@@ -115,37 +102,6 @@ class MultiHeadSelfAttention(Module):
         merged = context.transpose(0, 2, 1, 3).reshape(batch, q_time, self.model_dim)
         return self.out_proj(merged)
 
-    def _split_heads_nd(self, x: np.ndarray) -> np.ndarray:
-        batch, time, _ = x.shape
-        return x.reshape(batch, time, self.num_heads, self.head_dim).transpose(
-            0, 2, 1, 3
-        )
-
-    def infer(
-        self,
-        x: np.ndarray,
-        mask: np.ndarray | None = None,
-        keys: np.ndarray | None = None,
-    ) -> np.ndarray:
-        kv = keys if keys is not None else x
-        q = self._split_heads_nd(self.q_proj.infer(x))
-        k = self._split_heads_nd(self.k_proj.infer(kv))
-        v = self._split_heads_nd(self.v_proj.infer(kv))
-        scores = (q @ np.swapaxes(k, -1, -2)) * q.dtype.type(
-            1.0 / np.sqrt(self.head_dim)
-        )
-        if mask is not None:
-            key_mask = np.asarray(mask, dtype=bool)[:, None, None, :]
-            attn = inference.masked_softmax_nd(scores, key_mask, axis=-1)
-        else:
-            attn = inference.softmax_nd(scores, axis=-1)
-        context = attn @ v
-        batch, _, q_time, _ = context.shape
-        merged = np.ascontiguousarray(context.transpose(0, 2, 1, 3)).reshape(
-            batch, q_time, self.model_dim
-        )
-        return self.out_proj.infer(merged)
-
 
 class TransformerEncoderLayer(Module):
     """Post-norm transformer encoder block: MHSA + position-wise FFN."""
@@ -169,12 +125,6 @@ class TransformerEncoderLayer(Module):
     def forward(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
         x = self.norm1(x + self.attention(x, mask=mask))
         x = self.norm2(x + self.ffn_out(self.ffn_in(x).relu()))
-        return x
-
-    def infer(self, x: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-        x = self.norm1.infer(x + self.attention.infer(x, mask=mask))
-        hidden = inference.relu_nd(self.ffn_in.infer(x))
-        x = self.norm2.infer(x + self.ffn_out.infer(hidden))
         return x
 
 

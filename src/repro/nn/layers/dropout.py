@@ -23,7 +23,3 @@ class Dropout(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return F.dropout(x, self.p, self._rng, self.training)
-
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        # Inference implies eval mode: inverted dropout is the identity.
-        return x

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import inference
 from ..module import Module, Parameter
 from ..tensor import Tensor
 
@@ -53,22 +52,4 @@ class Embedding(Module):
         if self.padding_idx is not None:
             mask = (ids != self.padding_idx).astype(np.float64)[..., None]
             out = out * Tensor(mask)
-        return out
-
-    def infer(self, ids) -> np.ndarray:
-        ids = np.asarray(ids, dtype=np.int64)
-        if ids.size and (ids.min() < 0 or ids.max() >= self.num_embeddings):
-            raise IndexError(
-                f"embedding ids out of range [0, {self.num_embeddings}): "
-                f"min={ids.min()}, max={ids.max()}"
-            )
-        table = inference.cached_weights(
-            self,
-            "embedding",
-            (self.weight,),
-            lambda dtype: np.ascontiguousarray(self.weight.data, dtype=dtype),
-        )
-        out = table[ids]
-        if self.padding_idx is not None:
-            out *= ids[..., None] != self.padding_idx
         return out

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import inference, init
+from .. import init
 from ..module import Module, Parameter
 from ..tensor import Tensor
 
@@ -49,18 +49,3 @@ class Linear(Module):
         if self.bias is not None:
             out = out + self.bias
         return out
-
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        params = (self.weight,) if self.bias is None else (self.weight, self.bias)
-
-        def build(dtype):
-            weight_t = np.ascontiguousarray(self.weight.data.T, dtype=dtype)
-            bias = (
-                None
-                if self.bias is None
-                else np.ascontiguousarray(self.bias.data, dtype=dtype)
-            )
-            return weight_t, bias
-
-        weight_t, bias = inference.cached_weights(self, "linear", params, build)
-        return inference.linear_nd(x, weight_t, bias)

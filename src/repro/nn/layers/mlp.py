@@ -6,7 +6,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .. import inference
 from ..module import Module
 from ..tensor import Tensor
 from .linear import Linear
@@ -17,14 +16,6 @@ _ACTIVATIONS: dict[str, Callable[[Tensor], Tensor]] = {
     "relu": lambda x: x.relu(),
     "tanh": lambda x: x.tanh(),
     "sigmoid": lambda x: x.sigmoid(),
-    "identity": lambda x: x,
-}
-
-# ndarray twins for the inference path (same names, same numerics).
-_INFER_ACTIVATIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "relu": inference.relu_nd,
-    "tanh": np.tanh,
-    "sigmoid": inference.sigmoid_nd,
     "identity": lambda x: x,
 }
 
@@ -73,10 +64,3 @@ class MLP(Module):
         for layer in self.layers[:-1]:
             x = hidden_fn(layer(x))
         return out_fn(self.layers[-1](x))
-
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        hidden_fn = _INFER_ACTIVATIONS[self._activation]
-        out_fn = _INFER_ACTIVATIONS[self._output_activation]
-        for layer in self.layers[:-1]:
-            x = hidden_fn(layer.infer(x))
-        return out_fn(self.layers[-1].infer(x))

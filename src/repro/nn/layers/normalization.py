@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import inference
 from ..module import Module, Parameter
 from ..tensor import Tensor
 
@@ -34,15 +33,3 @@ class LayerNorm(Module):
         var = (centered * centered).mean(axis=-1, keepdims=True)
         normed = centered * (var + self.eps) ** -0.5
         return normed * self.gamma + self.beta
-
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        def build(dtype):
-            return (
-                np.ascontiguousarray(self.gamma.data, dtype=dtype),
-                np.ascontiguousarray(self.beta.data, dtype=dtype),
-            )
-
-        gamma, beta = inference.cached_weights(
-            self, "layernorm", (self.gamma, self.beta), build
-        )
-        return inference.layer_norm_nd(x, gamma, beta, self.eps)

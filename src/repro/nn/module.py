@@ -2,7 +2,8 @@
 
 A :class:`Module` owns :class:`Parameter` leaves and child modules; it can
 enumerate its parameters recursively, toggle train/eval mode, zero gradients,
-and export/import a flat state dict of numpy arrays.
+export/import a flat state dict of numpy arrays, and serve its one
+:meth:`Module.forward` through :meth:`Module.infer`.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .tensor import Tensor, no_grad
+from .tensor import Tensor, infer_mode, is_inferring
 
 __all__ = ["Parameter", "Module"]
 
@@ -39,7 +40,12 @@ class Module:
     def __init__(self) -> None:
         object.__setattr__(self, "_parameters", OrderedDict())
         object.__setattr__(self, "_modules", OrderedDict())
-        object.__setattr__(self, "training", True)
+        object.__setattr__(self, "_training", True)
+
+    @property
+    def training(self) -> bool:
+        """Train-mode flag; always ``False`` inside an inference block."""
+        return self._training and not is_inferring()
 
     def __setattr__(self, name: str, value) -> None:
         if isinstance(value, Parameter):
@@ -58,21 +64,22 @@ class Module:
         return self.forward(*args, **kwargs)
 
     def infer(self, *args, **kwargs):
-        """Tape-free inference forward; returns raw ndarray(s).
+        """Serve :meth:`forward`: no tape, eval semantics, raw arrays out.
 
-        Hot layers override this with hand-tuned ndarray implementations
-        (``repro.nn.inference``).  The default falls back to :meth:`forward`
-        under ``no_grad`` — positional ndarray arguments are wrapped as
-        Tensors, keyword arguments (masks, flags) pass through untouched,
-        and Tensor outputs are unwrapped — so every module is servable on
-        the inference path with tape-path-identical float64 numerics even
-        before it grows a fast path.
+        Runs the module's one forward inside an
+        :class:`~repro.nn.tensor.infer_mode` block — float32 by default,
+        the float64 training kernels under ``use_infer(False)``.
+        Positional ndarray arguments become Tensors, keyword arguments
+        (masks, flags) pass through untouched, and Tensor outputs come back
+        as ndarrays.
         """
-        coerced = tuple(
-            Tensor(a) if isinstance(a, np.ndarray) else a for a in args
-        )
-        with no_grad():
-            return _unwrap(self.forward(*coerced, **kwargs))
+        return self._run_infer(self.forward, *args, **kwargs)
+
+    def _run_infer(self, method, *args, **kwargs):
+        """:meth:`infer` for any forward-path method of this module."""
+        with infer_mode():
+            args = tuple(Tensor(a) if isinstance(a, np.ndarray) else a for a in args)
+            return _unwrap(method(*args, **kwargs))
 
     # ------------------------------------------------------------------
     # Parameter access
@@ -101,7 +108,7 @@ class Module:
     # Mode and gradient management
     # ------------------------------------------------------------------
     def train(self, mode: bool = True) -> "Module":
-        object.__setattr__(self, "training", mode)
+        object.__setattr__(self, "_training", mode)
         for child in self.children():
             child.train(mode)
         return self

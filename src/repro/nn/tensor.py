@@ -17,6 +17,12 @@ the result passes straight through with zero autograd bookkeeping.
 Composite ops (``mean``, ``__sub__``, ``sqrt``) stay compositions of
 primitives so their backward rules need no separate entries.
 
+Serving runs the same ops inside an :class:`infer_mode` block (entered by
+``Module.infer``): no tape, eval semantics, and float32 data, with float64
+inputs such as the parameters cast per call.  :func:`use_infer` selects
+float64 for such blocks, which then equal a ``no_grad`` forward bit for
+bit.
+
 Gradients are accumulated in ``Tensor.grad`` by :meth:`Tensor.backward`,
 which performs a topological sort of the recorded computation graph and runs
 each node's backward closure exactly once.  All backward rules are verified
@@ -32,6 +38,7 @@ or slowed down unless the profiler is turned on.
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -41,6 +48,9 @@ __all__ = [
     "as_tensor",
     "no_grad",
     "is_grad_enabled",
+    "infer_mode",
+    "is_inferring",
+    "use_infer",
     "register_custom_op",
     "OpDef",
     "OP_TABLE",
@@ -52,14 +62,29 @@ __all__ = [
 ]
 
 
+_FLOAT64 = np.dtype(np.float64)
+_FLOAT32 = np.dtype(np.float32)
+
+
 class _GradState(threading.local):
-    """Per-thread autograd switch (fresh ``enabled=True`` in every thread)."""
+    """Per-thread autograd state (fresh defaults in every thread).
+
+    ``enabled`` is the tape switch.  Inside an :class:`infer_mode` block
+    ``inferring`` is set, the tape is off, and new Tensor data is stored in
+    ``dtype`` (float32 unless :func:`use_infer` selects float64).
+    """
 
     def __init__(self) -> None:
         self.enabled = True
+        self.inferring = False
+        self.dtype = _FLOAT64
 
 
 _grad_state = _GradState()
+
+# Tensor dtype of inference blocks.  Serving runs float32; tests select the
+# float64 training kernels with use_infer(False).
+_serving_dtype = _FLOAT32
 
 # The op-dispatch surface of the autograd engine: one entry per method that
 # records a graph node.  ``repro.obs.autograd.enable_op_profiler`` hooks
@@ -125,6 +150,54 @@ def is_grad_enabled() -> bool:
     return _grad_state.enabled
 
 
+class infer_mode:
+    """Context manager for serving forwards (what ``Module.infer`` enters).
+
+    Inside the block no tape is recorded, modules report
+    ``training == False`` (eval semantics without touching any module), and
+    new Tensor data is float32: ops cast float64 inputs (the parameters)
+    per call and the fused scans run the tape-free kernels of
+    :mod:`repro.nn.inference`.  Under ``use_infer(False)`` the block keeps
+    float64 and the training kernels, so its outputs equal a ``no_grad``
+    eval-mode forward bit for bit.  Reentrant and thread-local like
+    :class:`no_grad`.
+    """
+
+    def __init__(self) -> None:
+        self._stack: list[tuple] = []
+
+    def __enter__(self) -> "infer_mode":
+        state = _grad_state
+        self._stack.append((state.enabled, state.inferring, state.dtype))
+        state.enabled, state.inferring, state.dtype = False, True, _serving_dtype
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        state = _grad_state
+        state.enabled, state.inferring, state.dtype = self._stack.pop()
+
+
+def is_inferring() -> bool:
+    """Whether this thread is inside an :class:`infer_mode` block."""
+    return _grad_state.inferring
+
+
+@contextmanager
+def use_infer(value: bool):
+    """Select the dtype of inference blocks for a block (a test selector).
+
+    ``True`` (the default) is float32 serving; ``False`` runs inference
+    blocks in float64 on the training kernels — the reference the golden
+    slates and the benchmark's drift check compare against.
+    """
+    global _serving_dtype
+    previous, _serving_dtype = _serving_dtype, (_FLOAT32 if value else _FLOAT64)
+    try:
+        yield
+    finally:
+        _serving_dtype = previous
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum ``grad`` back down to ``shape`` (inverse of numpy broadcasting)."""
     if grad.shape == shape:
@@ -185,8 +258,9 @@ class Tensor:
     Parameters
     ----------
     data:
-        Array-like payload; converted to ``float64`` by default so that
-        gradient checks against finite differences are tight.
+        Array-like payload; converted to ``float64`` so that gradient
+        checks against finite differences are tight (to float32 inside a
+        float32 :class:`infer_mode` block).
     requires_grad:
         Whether gradients should flow to this tensor.
     """
@@ -196,7 +270,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False) -> None:
         if isinstance(data, Tensor):
             data = data.data
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = np.asarray(data, dtype=_grad_state.dtype)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad) and _grad_state.enabled
         self._backward: Callable[[np.ndarray], None] | None = None
@@ -239,12 +313,28 @@ class Tensor:
     # Graph plumbing
     # ------------------------------------------------------------------
     @staticmethod
+    def _result(data) -> "Tensor":
+        """Wrap an op's output without a cast.
+
+        Results keep the dtype their kernel computed, so a float64 upcast
+        inside a float32 inference block stays visible (and testable)
+        rather than being silently cast back.
+        """
+        out = Tensor.__new__(Tensor)
+        out.data = np.asarray(data)
+        out.grad = None
+        out.requires_grad = False
+        out._backward = None
+        out._parents = ()
+        return out
+
+    @staticmethod
     def _make(
         data: np.ndarray,
         parents: Sequence["Tensor"],
         backward: Callable[[np.ndarray], None],
     ) -> "Tensor":
-        out = Tensor(data)
+        out = Tensor._result(data)
         if _grad_state.enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
@@ -262,10 +352,20 @@ class Tensor:
         parents, no closure, and no residual retention.
         """
         opdef = OP_TABLE[name]
-        arrays = tuple(t.data for t in inputs)
+        state = _grad_state
+        dtype = state.dtype
+        if dtype is _FLOAT64:
+            arrays = tuple([t.data for t in inputs])
+        else:
+            # float32 inference block: parameters (and any other float64
+            # array) are cast per call, so in-place updates are always
+            # served, and inputs are made contiguous, which keeps matmul on
+            # BLAS (a transposed float32 weight falls off it, and its
+            # fallback loop is many times slower on subnormal inputs).
+            arrays = tuple([np.ascontiguousarray(t.data, dtype=dtype) for t in inputs])
         out_data, residual = opdef.forward(params, *arrays)
-        out = Tensor(out_data)
-        if _grad_state.enabled and any(t.requires_grad for t in inputs):
+        out = Tensor._result(out_data)
+        if state.enabled and any([t.requires_grad for t in inputs]):
             vjp = opdef.vjp
 
             def backward(grad: np.ndarray) -> None:

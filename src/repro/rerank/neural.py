@@ -150,17 +150,4 @@ class NeuralReranker(Reranker):
     def score_batch(self, batch: RerankBatch) -> np.ndarray:
         if self.network is None:
             raise RuntimeError(f"fit {self.name} before scoring")
-        was_training = self.network.training
-        self.network.eval()
-        try:
-            if nn.inference.infer_enabled():
-                # Tape-free dispatch.  Baselines without a hand-written
-                # ndarray path fall back to Module.infer (forward under
-                # no_grad, float64) — bitwise identical scores, no tape.
-                scores = self.network.infer(batch)
-                return np.asarray(scores, dtype=np.float64)
-            with nn.no_grad():
-                scores = self._score_tensor(batch)
-        finally:
-            self.network.train(was_training)
-        return scores.numpy()
+        return np.asarray(self.network.infer(batch), dtype=np.float64)

@@ -38,8 +38,6 @@ import time
 
 import numpy as np
 
-from ..nn import inference as _nn_inference
-from ..nn.module import Module as _NNModule
 from ..obs import get_registry, get_run_logger
 from ..rerank.base import Reranker
 from .errors import CircuitOpenError, DeadlineExceeded
@@ -136,24 +134,6 @@ class CircuitBreaker:
         )
 
 
-def _invalidate_stage_caches(stage) -> None:
-    """Drop tape-free weight-cast caches on every Module a stage holds.
-
-    The inference path (:mod:`repro.nn.inference`) keys its float32 weight
-    casts on the *identity* of each parameter array, so rebinding
-    invalidates automatically — but in-place mutation does not (the PR 8
-    staleness window).  Serving swaps models mid-flight, exactly where
-    that window bites, so the swap path sweeps each stage's Modules
-    (``RapidReranker.model``, ``NeuralReranker.network``, ...) and
-    invalidates explicitly.
-    """
-    if isinstance(stage, _NNModule):
-        _nn_inference.invalidate_caches(stage)
-    for value in vars(stage).values():
-        if isinstance(value, _NNModule):
-            _nn_inference.invalidate_caches(value)
-
-
 def default_fallback_chain(tradeoff: float = 0.8) -> "list[Reranker]":
     """The serving default: greedy MMR, then initial-order passthrough.
 
@@ -239,12 +219,11 @@ class ResilientReranker(Reranker):
         return self.primary.score_batch(batch)
 
     def warmup(self, batch) -> None:
-        """Pre-build the tape-free path's weight caches (best effort).
+        """Run one throwaway rerank per stage (best effort).
 
-        The inference path (``repro.nn.inference``) casts — and for the
-        recurrent cells gate-reorders — each stage's weights on first use.
-        Running one throwaway rerank per stage here keeps that one-time
-        cost out of the first deadline-bounded request.
+        First calls pay one-time costs (numpy and BLAS buffer set-up, lazy
+        imports, cold caches); paying them here keeps them out of the
+        first deadline-bounded request.
         """
         for stage in [self.primary, *self.fallbacks]:
             try:
@@ -255,19 +234,14 @@ class ResilientReranker(Reranker):
     def swap_primary(self, new_primary: Reranker) -> Reranker:
         """Swap the protected model mid-flight; returns the old primary.
 
-        Serving uses this for zero-downtime model rollout.  Both the old
-        and the new primary get their tape-free weight-cast caches
-        invalidated (:func:`repro.nn.inference.invalidate_caches`): the
-        identity-keyed caches only self-invalidate on *rebind*, so a model
-        whose parameters were updated in place — or swapped out and later
-        swapped back — would otherwise serve stale float32 casts.  The
-        wrapper's name follows the new primary (fresh metric series); the
-        breaker keeps its state — an open breaker still half-open-probes
-        the new model on schedule rather than trusting it blindly.
+        Serving uses this for zero-downtime model rollout.  Inference casts
+        parameters per call, so the new primary serves its current weights
+        even if they were updated in place.  The wrapper's name follows
+        the new primary (fresh metric series); the breaker keeps its state
+        — an open breaker still half-open-probes the new model on schedule
+        rather than trusting it blindly.
         """
         old = self.primary
-        _invalidate_stage_caches(old)
-        _invalidate_stage_caches(new_primary)
         self.primary = new_primary
         primary_name = (
             getattr(new_primary, "name", None) or type(new_primary).__name__

@@ -370,10 +370,8 @@ class RerankService:
 
         When the tenant runs behind a :class:`ResilientReranker`, the
         wrapper stays (breaker state and fallbacks intact) and only its
-        primary is swapped — which also fires
-        :func:`repro.nn.inference.invalidate_caches` on both models, so
-        in-place-mutated weights can never serve stale cached casts.
-        Every cached slate for the tenant is dropped either way.
+        primary is swapped.  Every cached slate for the tenant is dropped
+        either way.
         """
         serving = self.tenants[tenant]
         if isinstance(serving.reranker, ResilientReranker):

@@ -17,6 +17,7 @@ from repro.core import (
     train_rapid,
 )
 from repro.data import RankingRequest, build_batch
+from repro.nn import inference
 
 
 @pytest.fixture(scope="module")
@@ -169,11 +170,20 @@ class TestRapidModel:
         assert (ucb_scores >= mean_scores - 1e-12).all()
 
     def test_all_variants_build_and_run(self, world_and_batch):
+        """Every variant serves in float32 within drift of its float64 tape."""
         world, _, _, batch = world_and_batch
         for name in RAPID_VARIANTS:
             model = make_rapid_variant(name, _config(world))
             scores = model.inference_scores(batch)
             assert scores.shape == (batch.batch_size, batch.list_length)
+            with inference.use_infer(False):
+                tape = model.inference_scores(batch)
+            np.testing.assert_array_equal(
+                np.argsort(-scores, axis=1, kind="stable"),
+                np.argsort(-tape, axis=1, kind="stable"),
+                err_msg=name,
+            )
+            np.testing.assert_allclose(scores, tape, rtol=0, atol=1e-5, err_msg=name)
 
     def test_variant_flags(self, world_and_batch):
         world, _, _, _ = world_and_batch

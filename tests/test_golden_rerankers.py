@@ -18,6 +18,7 @@ import pytest
 from repro.data import build_batch
 from repro.eval import make_reranker
 from repro.nn import inference
+from repro.nn.tensor import install_op_wrappers, is_inferring, restore_ops
 from repro.serve import ManualClock, RerankService, ServeRequest, ServingTenant
 
 # Every model of the paper's comparison table with reproducible output:
@@ -75,8 +76,8 @@ def fitted_reranker(tiny_bundle):
 def test_reranker_matches_golden_slate(name, fitted_reranker, golden_batch,
                                        golden_store):
     # The snapshots pin the float64 tape path: this is the use_infer(False)
-    # bit-identity contract.  Fast-path parity against the tape path is
-    # asserted separately (test_inference_matches_tape_slate below and
+    # bit-identity contract.  Float32 serving parity against it is asserted
+    # separately (test_inference_matches_tape_slate below and
     # tests/test_nn_inference.py).
     reranker = fitted_reranker(name)
     with inference.use_infer(False):
@@ -100,12 +101,8 @@ def test_reranker_matches_golden_slate(name, fitted_reranker, golden_batch,
 
 @pytest.mark.parametrize("name", MODELS)
 def test_inference_matches_tape_slate(name, fitted_reranker, golden_batch):
-    """The tape-free path must pick the exact same item ids as the tape.
-
-    Baselines without a hand-written ndarray path run Module.infer (float64,
-    bitwise identical); RAPID runs float32 end-to-end, so its scores may
-    drift within float32 epsilon but the resulting slate must not.
-    """
+    """The float32 serving path must pick the exact same item ids as the
+    float64 tape path; scores may drift within float32 epsilon."""
     reranker = fitted_reranker(name)
     with inference.use_infer(False):
         tape_perm = reranker.rerank(golden_batch)
@@ -129,6 +126,40 @@ def test_inference_matches_tape_slate(name, fitted_reranker, golden_batch):
     # Scores live in (0, 1) (sigmoid outputs) or modest logit ranges; a
     # 1e-5 absolute budget is ~100x float32 eps headroom at these scales.
     np.testing.assert_allclose(fast_scores, tape_scores, rtol=0, atol=1e-5)
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_inference_ops_stay_float32(name, fitted_reranker, golden_batch):
+    """No op inside Module.infer returns float64 in the default mode.
+
+    Op outputs keep the dtype their kernel computed, so a float64 upcast
+    (a float64 constant, a kernel allocating float64 scratch) shows here
+    instead of quietly slowing the float32 path.
+    """
+    reranker = fitted_reranker(name)
+    upcasts: set[str] = set()
+
+    def probe(op, fn):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            if is_inferring():
+                for tensor in out if isinstance(out, tuple) else (out,):
+                    if tensor.data.dtype == np.float64:
+                        upcasts.add(op)
+            return out
+
+        return wrapper
+
+    originals = install_op_wrappers(probe)
+    try:
+        reranker.rerank(golden_batch)
+        try:
+            reranker.score_batch(golden_batch)
+        except NotImplementedError:
+            pass
+    finally:
+        restore_ops(originals)
+    assert not upcasts, f"{name}: float64 op outputs under Module.infer: {sorted(upcasts)}"
 
 
 @pytest.mark.serve

@@ -1,10 +1,10 @@
-"""Tests for the tape-free inference path (``repro.nn.inference``).
+"""Tests for the inference mode (``Module.infer`` / ``repro.nn.inference``).
 
-Covers the ``use_infer`` test selector, the weight-cast cache contract,
-layer ``infer`` parity against the tape path (bitwise in float64 mode,
-bounded drift in float32), the differential oracle's inference twins,
-``no_grad`` reentrancy/thread-safety, and the
-``ResilientReranker.warmup`` hook.
+Covers the ``use_infer`` test selector, the eval semantics of inference
+blocks, served weights tracking parameter updates, layer ``infer`` parity
+against the tape path (bitwise under ``use_infer(False)``, bounded drift
+in float32), the differential oracle's scan-kernel cases, ``no_grad``
+reentrancy/thread-safety, and the ``ResilientReranker.warmup`` hook.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import pytest
 import repro.nn as nn
 import repro.nn.functional as F
 from repro.nn import inference
-from repro.nn.tensor import Tensor, is_grad_enabled, no_grad
+from repro.nn.tensor import Tensor, is_grad_enabled, is_inferring, no_grad
 from repro.testing.oracle import (
     check_all_infer_kernels,
     check_infer_kernel,
@@ -30,25 +30,72 @@ from repro.testing.oracle import (
 # ----------------------------------------------------------------------
 
 
+def _served_dtype():
+    return nn.Linear(2, 2).infer(np.ones((1, 2))).dtype
+
+
 def test_use_infer_nests_and_restores():
-    assert inference.infer_enabled()  # serving default
+    assert _served_dtype() == np.float32  # serving default
     with inference.use_infer(False):
-        assert not inference.infer_enabled()
+        assert _served_dtype() == np.float64
         with inference.use_infer(True):
-            assert inference.infer_enabled()
-        assert not inference.infer_enabled()
+            assert _served_dtype() == np.float32
+        assert _served_dtype() == np.float64
         with pytest.raises(RuntimeError):
             with inference.use_infer(True):
                 raise RuntimeError("boom")
-        assert not inference.infer_enabled()
-    assert inference.infer_enabled()
+        assert _served_dtype() == np.float64
+    assert _served_dtype() == np.float32
 
 
-def test_infer_dtype_env(monkeypatch):
-    monkeypatch.delenv("REPRO_NN_INFER_DTYPE", raising=False)
-    assert inference.infer_dtype() == np.dtype(np.float32)
-    monkeypatch.setenv("REPRO_NN_INFER_DTYPE", "float64")
-    assert inference.infer_dtype() == np.dtype(np.float64)
+def test_infer_block_is_tape_free_eval_and_leaves_modes_alone():
+    """Inside Module.infer: no tape, eval semantics; outside: untouched."""
+    seen = {}
+
+    class Probe(nn.Module):
+        def __init__(self):
+            super().__init__()
+            self.proj = nn.Linear(3, 3, rng=np.random.default_rng(0))
+            self.drop = nn.Dropout(0.5)
+
+        def forward(self, x):
+            seen["inferring"] = is_inferring()
+            seen["grad"] = is_grad_enabled()
+            seen["training"] = (self.training, self.drop.training)
+            return self.drop(self.proj(x))
+
+    module = Probe()
+    assert module.training
+    x = _RNG.standard_normal((4, 3))
+    out = module.infer(x)
+    assert seen == {"inferring": True, "grad": False, "training": (False, False)}
+    # Dropout acted as the identity: the output is the projection alone.
+    with inference.use_infer(False):
+        proj = module.proj.infer(x)
+    np.testing.assert_allclose(out, proj, rtol=1e-6, atol=1e-6)
+    assert module.training and module.drop.training
+    assert not is_inferring() and is_grad_enabled()
+
+
+def test_infer_mode_is_thread_local():
+    inside = threading.Event()
+    release = threading.Event()
+    seen = {}
+
+    class Blocking(nn.Module):
+        def forward(self, x):
+            inside.set()
+            release.wait(5.0)
+            return x
+
+    worker = threading.Thread(target=lambda: Blocking().infer(np.ones(2)))
+    worker.start()
+    assert inside.wait(5.0)
+    seen["main_inferring"] = is_inferring()
+    seen["main_tensor_dtype"] = Tensor(np.ones(2)).data.dtype
+    release.set()
+    worker.join()
+    assert seen == {"main_inferring": False, "main_tensor_dtype": np.float64}
 
 
 # ----------------------------------------------------------------------
@@ -112,55 +159,12 @@ def test_no_grad_skips_tape_construction():
 
 
 # ----------------------------------------------------------------------
-# Weight-cast cache
+# Served weights track parameter updates (parameters are cast per call)
 # ----------------------------------------------------------------------
 
 
-def test_cached_weights_hits_until_rebind():
-    layer = nn.Linear(4, 3, rng=np.random.default_rng(0))
-    calls = []
-
-    def build(dtype):
-        calls.append(dtype)
-        return layer.weight.data.astype(dtype)
-
-    first = inference.cached_weights(layer, "w", [layer.weight], build)
-    second = inference.cached_weights(layer, "w", [layer.weight], build)
-    assert first is second and len(calls) == 1
-    # Rebinding param.data (what optimizers/load_state_dict do) misses.
-    layer.weight.data = layer.weight.data.copy()
-    third = inference.cached_weights(layer, "w", [layer.weight], build)
-    assert third is not first and len(calls) == 2
-
-
-def test_cached_weights_keyed_on_dtype(monkeypatch):
-    layer = nn.Linear(4, 3, rng=np.random.default_rng(0))
-    build = lambda dtype: layer.weight.data.astype(dtype)  # noqa: E731
-    monkeypatch.setenv("REPRO_NN_INFER_DTYPE", "float32")
-    f32 = inference.cached_weights(layer, "w", [layer.weight], build)
-    monkeypatch.setenv("REPRO_NN_INFER_DTYPE", "float64")
-    f64 = inference.cached_weights(layer, "w", [layer.weight], build)
-    assert f32.dtype == np.float32 and f64.dtype == np.float64
-
-
-def test_invalidate_caches_recurses():
-    mlp = nn.MLP([4, 5, 3], rng=np.random.default_rng(0))
-    x = np.random.default_rng(1).standard_normal((2, 4)).astype(np.float32)
-    mlp.infer(x)  # populate the per-Linear caches
-
-    def cache_keys(module):
-        keys = [k for k in module.__dict__ if k.startswith("_infer_cache_")]
-        for child in module.children():
-            keys.extend(cache_keys(child))
-        return keys
-
-    assert cache_keys(mlp), "expected MLP.infer to populate weight-cast caches"
-    inference.invalidate_caches(mlp)
-    assert not cache_keys(mlp)
-
-
 def test_cache_tracks_optimizer_step():
-    """After an SGD step the cast weights must reflect the new values."""
+    """After an SGD step the served forward must use the new values."""
     layer = nn.Linear(3, 2, rng=np.random.default_rng(0))
     x = np.random.default_rng(1).standard_normal((4, 3)).astype(np.float32)
     before = layer.infer(x).copy()
@@ -176,8 +180,8 @@ def test_cache_tracks_optimizer_step():
 
 
 # ----------------------------------------------------------------------
-# Layer parity: float64 infer dtype == tape path bitwise (or ~1 ULP for
-# reassociated reductions); float32 drift bounded.
+# Layer parity: use_infer(False) == tape path bitwise; float32 drift
+# bounded.
 # ----------------------------------------------------------------------
 
 _RNG = np.random.default_rng(7)
@@ -196,6 +200,7 @@ def _layer_cases():
         ("lstm", nn.LSTM(feat, 3, rng=rng), (x,), {"mask": mask}),
         ("gru", nn.GRU(feat, 3, rng=rng), (x,), {"mask": mask}),
         ("bilstm", nn.BiLSTM(feat, 3, rng=rng), (x,), {"mask": mask}),
+        ("bilstm_unmasked", nn.BiLSTM(feat, 3, rng=rng), (x,), {}),
         ("self_attention", nn.SelfAttention(), (x,), {"mask": mask}),
         (
             "mhsa",
@@ -226,25 +231,16 @@ def _tape_forward(module, args, kwargs):
     _layer_cases(),
     ids=[c[0] for c in _layer_cases()],
 )
-def test_layer_infer_parity_float64(name, module, args, kwargs, monkeypatch):
-    """In float64 the fast path is the same arithmetic — (near-)bitwise."""
-    monkeypatch.setenv("REPRO_NN_INFER_DTYPE", "float64")
+def test_layer_infer_parity_float64(name, module, args, kwargs):
+    """Under use_infer(False) the served forward is the tape forward: bitwise."""
     reference = _tape_forward(module, args, kwargs)
-    fast = module.infer(*args, **kwargs)
+    with inference.use_infer(False):
+        fast = module.infer(*args, **kwargs)
     if not isinstance(reference, tuple):
         reference, fast = (reference,), (fast,)
     for ref, out in zip(reference, fast):
         assert np.asarray(out).dtype == np.float64
-        # Reductions may reassociate (matmul blocking, layer-norm mean),
-        # residual chains compound it, and the scans' in-place sigmoid is a
-        # couple of ULPs from the tape's stable form: allow a few
-        # final-place units.  Same near-zero escape as the oracle — where
-        # the values themselves are ~0, ULP spacing collapses and the
-        # absolute bound is the meaningful one.
-        zero_atol = 16 * float(np.finfo(np.float64).eps)
-        ulp = max_ulp_diff_in_dtype(ref, out, np.float64, zero_atol=zero_atol)
-        assert ulp <= 8.0, name
-        np.testing.assert_allclose(out, ref, rtol=1e-12, atol=zero_atol)
+        np.testing.assert_array_equal(out, ref)
 
 
 @pytest.mark.parametrize(
@@ -252,13 +248,10 @@ def test_layer_infer_parity_float64(name, module, args, kwargs, monkeypatch):
     _layer_cases(),
     ids=[c[0] for c in _layer_cases()],
 )
-def test_layer_infer_drift_float32(name, module, args, kwargs, monkeypatch):
+def test_layer_infer_drift_float32(name, module, args, kwargs):
     """In float32 the drift against the float64 tape stays within ~100 eps."""
-    monkeypatch.setenv("REPRO_NN_INFER_DTYPE", "float32")
-    inference.invalidate_caches(module)
     reference = _tape_forward(module, args, kwargs)
-    # The serving layer casts inputs once at assembly; mirror that here.
-    fast = module.infer(*[a.astype(np.float32) for a in args], **kwargs)
+    fast = module.infer(*args, **kwargs)
     if not isinstance(reference, tuple):
         reference, fast = (reference,), (fast,)
     for ref, out in zip(reference, fast):
@@ -267,7 +260,8 @@ def test_layer_infer_drift_float32(name, module, args, kwargs, monkeypatch):
 
 
 def test_module_infer_fallback_is_tape_identical():
-    """Modules without a fast path serve via forward-under-no_grad: exact."""
+    """A module with no serving code of its own serves its forward:
+    bitwise the tape under use_infer(False), float32 drift by default."""
 
     class Custom(nn.Module):
         def __init__(self):
@@ -280,33 +274,13 @@ def test_module_infer_fallback_is_tape_identical():
     module = Custom()
     x = _RNG.standard_normal((3, 4))
     reference = _tape_forward(module, (x,), {})
-    fast = module.infer(x)
-    assert fast.dtype == np.float64
-    assert (fast == reference).all()
-
-
-def test_functional_ndarray_passthrough():
-    """repro.nn.functional dispatches raw ndarrays to the inference kernels."""
-    x = _RNG.standard_normal((3, 5)).astype(np.float32)
-    mask = np.ones((3, 5), dtype=bool)
-    mask[2, 2:] = False
-    for fn, ref in [
-        (F.sigmoid, inference.sigmoid_nd),
-        (F.relu, inference.relu_nd),
-        (F.tanh, np.tanh),
-    ]:
-        out = fn(x)
-        assert isinstance(out, np.ndarray) and out.dtype == np.float32
-        assert (out == ref(x)).all()
-    assert (F.softmax(x, axis=-1) == inference.softmax_nd(x, axis=-1)).all()
-    assert (
-        F.log_softmax(x, axis=-1) == inference.log_softmax_nd(x, axis=-1)
-    ).all()
-    assert (
-        F.masked_softmax(x, mask) == inference.masked_softmax_nd(x, mask)
-    ).all()
-    # Tensor inputs still take the tape path and return Tensors.
-    assert isinstance(F.sigmoid(Tensor(np.ones((2, 2)))), Tensor)
+    with inference.use_infer(False):
+        exact = module.infer(x)
+    assert exact.dtype == np.float64
+    assert (exact == reference).all()
+    served = module.infer(x)
+    assert served.dtype == np.float32
+    np.testing.assert_allclose(served, reference, rtol=1e-5, atol=1e-6)
 
 
 # ----------------------------------------------------------------------
@@ -347,7 +321,7 @@ def test_oracle_catches_structural_bug():
     """A wrong gate order must blow the ULP budget, not hide in tolerance."""
     build = inference.INFER_CASES["lstm_scan_fused"]
     reference_fn, infer_fn, arrays, _ = build(np.random.default_rng(0))
-    dtype = inference.infer_dtype()
+    dtype = np.dtype(np.float32)
     reference = reference_fn(*[np.array(a, dtype=np.float64) for a in arrays])
     cast = [np.asarray(a).astype(dtype) for a in arrays]
     gates = cast[0]
@@ -360,6 +334,18 @@ def test_oracle_catches_structural_bug():
     bad = infer_fn(swapped, *cast[1:])
     zero_atol = float(16 * np.finfo(dtype).eps)
     ulp = max_ulp_diff_in_dtype(reference, bad, dtype, zero_atol=zero_atol)
+    assert ulp > 1e6
+
+
+def test_bilstm_oracle_case_is_padded():
+    """The packed kernel's case pads, so a dropped mask blows the budget."""
+    build = inference.INFER_CASES["bilstm_scan"]
+    reference_fn, _, arrays, _ = build(np.random.default_rng(0))
+    dtype = np.dtype(np.float32)
+    reference = reference_fn(*[np.array(a, dtype=np.float64) for a in arrays])
+    unmasked = inference.bilstm_scan_infer(*[a.astype(dtype) for a in arrays])
+    zero_atol = float(16 * np.finfo(dtype).eps)
+    ulp = max_ulp_diff_in_dtype(reference, unmasked, dtype, zero_atol=zero_atol)
     assert ulp > 1e6
 
 

@@ -1,12 +1,8 @@
-"""Regression: model swaps must invalidate tape-free weight-cast caches.
+"""Regression: served scores always reflect the current weights.
 
-PR 8 documented the staleness window: :mod:`repro.nn.inference` keys its
-float32 weight casts on parameter-array *identity*, so in-place mutation
-of ``param.data`` serves stale casts until :func:`invalidate_caches` is
-called.  Serving exposes exactly that window — a mid-flight model swap
-can reinstate a module whose weights were updated in place.  The fix:
-:meth:`ResilientReranker.swap_primary` fires the invalidation on both the
-outgoing and incoming primary automatically.
+Serving casts parameters to float32 per call, so a model whose
+``param.data`` was updated in place — including one swapped out and back
+in mid-flight — must serve its new weights with no invalidation step.
 """
 
 from __future__ import annotations
@@ -17,7 +13,7 @@ import pytest
 from repro.core import RapidConfig, RapidReranker, TrainConfig
 from repro.data import RankingRequest, build_batch
 from repro.nn import inference
-from repro.resilience.degrade import ResilientReranker, _invalidate_stage_caches
+from repro.resilience.degrade import ResilientReranker
 from repro.serve import ManualClock, RerankService, ServeRequest, ServingTenant
 
 pytestmark = pytest.mark.serve
@@ -55,20 +51,19 @@ def _mutate_in_place(rapid: RapidReranker) -> None:
         param.data *= -1.0
 
 
-def test_in_place_mutation_is_stale_without_invalidation(taobao_world):
-    """The documented PR 8 window really exists (guards the fixture)."""
+def test_in_place_mutation_is_served_without_invalidation(taobao_world):
+    """Flipping ``param.data`` in place changes the very next served scores."""
     world = taobao_world
     histories = world.sample_histories()
     rapid = _rapid(world)
     batch = _batch(world, histories)
-    with inference.use_infer(True):
-        before = rapid.score_batch(batch)
-        _mutate_in_place(rapid)
-        stale = rapid.score_batch(batch)  # identity-keyed caches: unchanged
-        np.testing.assert_array_equal(stale, before)
-        inference.invalidate_caches(rapid.model)
-        fresh = rapid.score_batch(batch)
-    assert not np.allclose(fresh, before), "mutation had no effect at all"
+    before = rapid.score_batch(batch)
+    _mutate_in_place(rapid)
+    served = rapid.score_batch(batch)
+    with inference.use_infer(False):
+        reference = rapid.score_batch(batch)
+    assert not np.allclose(reference, before), "mutation had no effect at all"
+    np.testing.assert_allclose(served, reference, rtol=0, atol=1e-5)
 
 
 def test_swap_primary_invalidates_incoming_model(taobao_world):
@@ -88,59 +83,26 @@ def test_swap_primary_invalidates_incoming_model(taobao_world):
         _mutate_in_place(rapid)
         wrapped.swap_primary(rapid)
         served = wrapped.score_batch(batch)
-        inference.invalidate_caches(rapid.model)  # belt-and-braces oracle
         oracle = rapid.score_batch(batch)
     np.testing.assert_array_equal(served, oracle)
 
 
 def test_swap_primary_invalidates_outgoing_model(taobao_world):
-    """The outgoing primary's caches die too: re-swapping it later cannot
-    resurrect casts from before any interim in-place update."""
+    """The outgoing primary holds nothing stale: updated in place after
+    being swapped out, it serves its new weights when used again."""
     world = taobao_world
     histories = world.sample_histories()
     rapid = _rapid(world)
     batch = _batch(world, histories)
     wrapped = ResilientReranker(rapid, fallbacks=[], deadline_ms=None)
-    with inference.use_infer(True):
-        wrapped.rerank(batch)
-    assert any(
-        key.startswith("_infer_cache_")
-        for module in _walk(rapid.model)
-        for key in module.__dict__
-    )
-    wrapped.swap_primary(_rapid(world, seed=2))
-    assert not any(
-        key.startswith("_infer_cache_")
-        for module in _walk(rapid.model)
-        for key in module.__dict__
-    )
-
-
-def _walk(module):
-    yield module
-    for child in module.children():
-        yield from _walk(child)
-
-
-def test_invalidate_stage_caches_finds_nested_modules(taobao_world):
-    """The sweep covers RapidReranker.model-style nesting."""
-    world = taobao_world
-    histories = world.sample_histories()
-    rapid = _rapid(world)
-    batch = _batch(world, histories)
-    with inference.use_infer(True):
-        rapid.score_batch(batch)
-    assert any(
-        key.startswith("_infer_cache_")
-        for module in _walk(rapid.model)
-        for key in module.__dict__
-    )
-    _invalidate_stage_caches(rapid)
-    assert not any(
-        key.startswith("_infer_cache_")
-        for module in _walk(rapid.model)
-        for key in module.__dict__
-    )
+    before = wrapped.score_batch(batch)
+    assert wrapped.swap_primary(_rapid(world, seed=2)) is rapid
+    _mutate_in_place(rapid)
+    served = rapid.score_batch(batch)
+    with inference.use_infer(False):
+        reference = rapid.score_batch(batch)
+    assert not np.allclose(served, before)
+    np.testing.assert_allclose(served, reference, rtol=0, atol=1e-5)
 
 
 def test_service_swap_model_serves_fresh_weights(taobao_world):
@@ -178,6 +140,5 @@ def test_service_swap_model_serves_fresh_weights(taobao_world):
             world.population,
             histories,
         )
-        inference.invalidate_caches(rapid.model)
         oracle = wrapped.rerank(single)[0]
     np.testing.assert_array_equal(after.permutation, oracle)
