@@ -33,9 +33,10 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
-
+# before numpy: bench_utils pins BLAS to one thread
 from bench_utils import interleaved_min_of_k, publish_benchmark
+
+import numpy as np
 
 from repro.core.rapid import RapidConfig
 from repro.core.trainer import RapidReranker

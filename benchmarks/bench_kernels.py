@@ -21,12 +21,13 @@ import gc
 import os
 import time
 
+# before numpy: bench_utils pins BLAS to one thread
+from bench_utils import publish_benchmark
+
 import numpy as np
 
 from repro import nn
 from repro.nn import Tensor, kernels
-
-from bench_utils import publish_benchmark
 
 BENCH_TAG = "pr2"
 

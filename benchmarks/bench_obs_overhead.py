@@ -12,9 +12,8 @@ contract with wall clocks, on both instrumented hot paths:
   gate.
 - **inference-path residue** — per-request latency of a neural reranker
   on the tape-free float32 path (``repro.nn.inference``), same cycle,
-  same gate: the op profiler installs ``inference._PROFILE_HOOK`` and
-  the disabled cost of that hook point is one module-global ``None``
-  check per kernel call.
+  same gate: the op profiler wraps the fused scan ops that call those
+  kernels, and disabling it must put the raw ops back.
 
 All gates compare *minimum* observed latencies from interleaved rounds
 (:func:`bench_utils.interleaved_min_of_k`): the min isolates the code
@@ -33,8 +32,6 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
-
 from bench_utils import interleaved_min_of_k, publish_benchmark
 
 from repro.core.rapid import RapidConfig, make_rapid_variant
@@ -42,8 +39,13 @@ from repro.core.trainer import RapidReranker, TrainConfig, train_rapid
 from repro.data import build_batch
 from repro.eval import ExperimentConfig, prepare_bundle
 from repro.nn import inference
+from repro.nn import tensor as nn_tensor
 from repro.obs import Histogram
-from repro.obs.autograd import disable_op_profiler, enable_op_profiler
+from repro.obs.autograd import (
+    disable_op_profiler,
+    enable_op_profiler,
+    is_op_profiler_enabled,
+)
 from repro.obs.profiler import start_sampling, stop_sampling
 from repro.obs.slo import serving_slo
 from repro.rerank import MMRReranker
@@ -71,15 +73,21 @@ def _bundle():
     )
 
 
+def raw_ops() -> dict[str, object]:
+    """The ``Tensor`` attribute behind every profiled op, as installed now."""
+    return {name: nn_tensor.Tensor.__dict__[name] for name in nn_tensor.PROFILED_OPS}
+
+
 def _cycle_obs() -> None:
     """Enable and disable every opt-in obs-v2 surface.
 
     An SLO monitor taking records, the sampling profiler, and the op
-    profiler (which installs ``inference._PROFILE_HOOK`` on the tape-free
-    kernels) all turn on and back off; any residue left behind (a
-    lingering sampler thread, a hook not uninstalled) is exactly what the
-    gates exist for.
+    profiler (which wraps every op in ``PROFILED_OPS``, the fused scans
+    over the tape-free kernels included) all turn on and back off; any
+    residue left behind (a lingering sampler thread, a wrapper not
+    removed) is exactly what the gates exist for.
     """
+    before = raw_ops()
     monitor = serving_slo()
     monitor.record(latency_ms=1.0)
     monitor.evaluate()
@@ -87,11 +95,9 @@ def _cycle_obs() -> None:
     profiler.sample_once()
     stop_sampling()
     enable_op_profiler()
-    inference.lstm_scan_infer(
-        np.ones((1, 2, 4), dtype=np.float32), np.ones((1, 4), dtype=np.float32)
-    )
     disable_op_profiler()
-    assert inference._PROFILE_HOOK is None
+    assert not is_op_profiler_enabled()
+    assert raw_ops() == before
 
 
 def best_batch_seconds(bundle, runs: int = TRAIN_RUNS) -> float:

@@ -14,9 +14,19 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
-from repro.core.trainer import TrainConfig
-from repro.eval import ExperimentConfig
-from repro.obs import get_registry
+#: One BLAS thread, the values ``perfbench/run.py`` pins.  OpenBLAS reads
+#: them once, when numpy loads, so a script is pinned only if it imports
+#: this module before numpy.
+THREAD_PINS = {
+    "OPENBLAS_NUM_THREADS": "1",
+    "OMP_NUM_THREADS": "1",
+    "MKL_NUM_THREADS": "1",
+}
+os.environ.update(THREAD_PINS)
+
+from repro.core.trainer import TrainConfig  # noqa: E402 - after the pins
+from repro.eval import ExperimentConfig  # noqa: E402
+from repro.obs import get_registry  # noqa: E402
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 REPO_ROOT = Path(__file__).resolve().parents[1]

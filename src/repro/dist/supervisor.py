@@ -1,36 +1,44 @@
-"""Worker supervision: liveness, bounded restarts, graceful degradation.
+"""Worker supervision: one process fleet, bounded restarts, graceful degradation.
 
-Two layers (DESIGN.md §12):
+Three layers (DESIGN.md §12):
 
 - :class:`SupervisorCore` — the **sans-io state machine**.  It owns the
-  per-worker heartbeat ledger and restart budget and answers exactly two
-  questions: *who is overdue* (:meth:`~SupervisorCore.overdue`) and *what
-  to do about a death* (:meth:`~SupervisorCore.on_death` → restart with a
+  per-slot restart budget and answers one question: *what to do about a
+  death* (:meth:`~SupervisorCore.on_death` → restart with a
   decorrelated-jitter delay, or degrade to fewer workers once the budget
-  is spent).  The clock is injectable, so the whole state machine is
-  testable without a single sleep or subprocess.
-- :class:`WorkerPool` — the **multiprocessing task farm** built on the
-  core.  Each worker gets its own duplex pipe; the parent dispatches
-  tasks, treats every message as a heartbeat, detects death via process
-  sentinels, requeues the dead worker's task (accounted through
+  is spent).  It is testable without a single sleep or subprocess.
+- :class:`WorkerFleet` — the **process plumbing**, the only one in
+  :mod:`repro.dist`.  It spawns a rank with a worker body, SIGKILLs and
+  reaps it, turns pipe EOF and a dead process sentinel into one "dead"
+  event (:meth:`~WorkerFleet.events`, which waits on the pipes and
+  sentinels when nothing is ready), restarts or degrades through the
+  core, and on close drains every worker's span buffer, deduplicated by
+  ``span_id``.  Every worker starts from one bootstrap
+  (:func:`_worker_main`): clear inherited chaos, reset the inherited
+  tracer, adopt the parent's :class:`~repro.obs.context.TraceContext`,
+  open a root span, run the body, ship the spans home.
+- :class:`WorkerPool` — the **task farm**: a loop over the fleet's events
+  that dispatches tasks, requeues a dead worker's task (accounted through
   :func:`repro.resilience.retry.record_retry`, so ``resilience.retries``
-  covers in-band and out-of-band retries alike), and respawns under the
+  covers in-band and out-of-band retries alike) and respawns under the
   core's budget.  Worker errors ship back as pickled exceptions and are
   classified with the same :class:`~repro.resilience.retry.RetryPolicy`
   machinery as local retries: retryable errors requeue the task, fatal
-  ones abort the run as a :class:`DistError`.
+  ones abort the run as a :class:`DistError`.  Lockstep training
+  (:mod:`repro.dist.train`) is the fleet's other loop.
 
-Fault points: the parent visits ``<site>`` (the pool's dispatch site,
-e.g. ``dist.sweep.cell``) through
+Death detection is pipe EOF plus the process sentinel; there is no
+heartbeat, so a worker that hangs without dying is not detected.
+
+Fault points: the pool visits ``<site>`` (its dispatch site, e.g.
+``dist.sweep.cell``) through
 :func:`~repro.resilience.chaos.faultpoint_signal` before every dispatch —
 a ``"kill"`` spec SIGKILLs the target worker (parent-side delivery keeps
 ``plan.fires()`` auditable in the test process) and an ``"error"`` spec
-is absorbed as a transient dispatch failure.  Heartbeat intake visits
-``dist.heartbeat``; an ``"error"`` fire there drops the beat.
+is absorbed as a transient dispatch failure.
 
-Workers run under the parent's :class:`~repro.obs.context.TraceContext`,
-and ship their span buffers home on shutdown, so
-:func:`~repro.obs.context.write_chrome_trace` renders the whole fleet on
+Spans shipped home on close let
+:func:`~repro.obs.context.write_chrome_trace` render the whole fleet on
 one timeline.
 """
 
@@ -42,13 +50,14 @@ import pickle
 import signal
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from multiprocessing.connection import wait as _mp_wait
 
 import numpy as np
 
 from ..obs.context import TraceContext, current_context, span_records, use_context
 from ..obs.tracing import reset_tracer, trace
-from ..resilience.chaos import clear_chaos, faultpoint, faultpoint_signal
+from ..resilience.chaos import clear_chaos, faultpoint_signal
 from ..resilience.errors import InjectedFault, ResilienceError
 from ..resilience.retry import RetryPolicy, next_backoff, record_retry
 
@@ -57,9 +66,15 @@ __all__ = [
     "RestartPolicy",
     "RestartDecision",
     "SupervisorCore",
+    "WorkerFleet",
     "WorkerPool",
     "picklable_error",
 ]
+
+#: Upper bound on one wait for a fleet event; pipes and sentinels wake it sooner.
+_POLL_S = 0.05
+#: How long close waits for each message while draining a worker's spans.
+_DRAIN_S = 5.0
 
 
 class DistError(ResilienceError):
@@ -82,7 +97,6 @@ class RestartPolicy:
     max_restarts: int = 2
     base_delay: float = 0.01
     max_delay: float = 0.5
-    heartbeat_timeout_s: float = 30.0
     task_retry: RetryPolicy = field(
         default_factory=lambda: RetryPolicy(max_attempts=3, base_delay=0.0)
     )
@@ -91,8 +105,6 @@ class RestartPolicy:
     def __post_init__(self) -> None:
         if self.max_restarts < 0:
             raise ValueError("max_restarts must be >= 0")
-        if self.heartbeat_timeout_s <= 0:
-            raise ValueError("heartbeat_timeout_s must be positive")
 
 
 @dataclass(frozen=True)
@@ -104,64 +116,26 @@ class RestartDecision:
 
 
 class SupervisorCore:
-    """Sans-io liveness ledger + restart-budget state machine.
+    """Sans-io restart-budget state machine.
 
-    All methods are pure bookkeeping over the injectable ``clock``; the
-    I/O layers (:class:`WorkerPool`, :func:`repro.dist.train.train_dist`)
-    call :meth:`beat` on every worker message, :meth:`overdue` while
-    waiting, and :meth:`on_death` when a worker is gone.
+    :class:`WorkerFleet` calls :meth:`on_death` when a worker is gone;
+    everything here is pure bookkeeping plus telemetry.
     """
 
     def __init__(
-        self,
-        world_size: int,
-        policy: RestartPolicy = RestartPolicy(),
-        clock=time.monotonic,
+        self, world_size: int, policy: RestartPolicy = RestartPolicy()
     ) -> None:
         if world_size < 1:
             raise ValueError("world_size must be >= 1")
         self.world_size = world_size
         self.policy = policy
-        self.clock = clock
         self.live: set[int] = set(range(world_size))
         self.removed: set[int] = set()
         self.restarts: dict[int, int] = {rank: 0 for rank in range(world_size)}
         self._rng = np.random.default_rng(policy.seed)
-        now = clock()
-        self._last_beat = {rank: now for rank in range(world_size)}
         self._prev_delay = {rank: policy.base_delay for rank in range(world_size)}
         self._gauge().set(float(len(self.live)))
 
-    # ------------------------------------------------------------------
-    # Liveness
-    # ------------------------------------------------------------------
-    def beat(self, rank: int) -> bool:
-        """Record one heartbeat; returns False when chaos dropped it.
-
-        The intake is a ``dist.heartbeat`` fault point — an ``"error"``
-        spec firing here silently swallows the beat, which is how the
-        chaos matrix simulates a lossy liveness channel.
-        """
-        try:
-            faultpoint("dist.heartbeat")
-        except InjectedFault:
-            return False
-        if rank in self.live:
-            self._last_beat[rank] = self.clock()
-        return True
-
-    def overdue(self) -> list[int]:
-        """Live ranks whose last beat is older than the heartbeat timeout."""
-        now = self.clock()
-        return sorted(
-            rank
-            for rank in self.live
-            if now - self._last_beat[rank] > self.policy.heartbeat_timeout_s
-        )
-
-    # ------------------------------------------------------------------
-    # Restart budget
-    # ------------------------------------------------------------------
     def on_death(self, rank: int) -> RestartDecision:
         """Decide restart-vs-degrade for a dead worker and account for it.
 
@@ -191,7 +165,6 @@ class SupervisorCore:
             self._prev_delay[rank],
         )
         self._prev_delay[rank] = delay
-        self._last_beat[rank] = self.clock()  # fresh grace period
         self._counter("dist.worker_restarts").inc()
         self._log(
             "dist.worker.restart",
@@ -246,75 +219,65 @@ def picklable_error(error: BaseException) -> BaseException:
         return DistError(f"{type(error).__name__}: {error}")
 
 
-def _pool_worker_main(conn, rank: int, fn, ctx_dict, init) -> None:
-    """Task-loop entry point for one pool worker process.
+def _worker_main(conn, rank: int, incarnation: int, body, name: str, ctx_dict) -> None:
+    """The bootstrap every fleet worker runs around ``body(conn, rank, incarnation)``.
 
     Fork inherits the parent's armed chaos plan, global sinks, and the
     parent's tracer — including any *still-open* span stack, under which
     this worker's root span would silently nest and never be recorded.
     :func:`clear_chaos` and :func:`reset_tracer` first, so faults
     scheduled for the parent don't replay in every child and the span
-    buffer shipped home holds exactly this worker's spans.  ``init(rank)``
-    (when given) then installs any per-worker state — per-pid sinks,
-    worker-side chaos — before tasks run.
+    buffer shipped home holds exactly this worker's spans.  A body that
+    returns ends the worker with ``("done", rank, spans)``; a body that
+    raises ships ``("error", rank, error)`` for the parent to classify.
     """
     clear_chaos()
     reset_tracer()
     context = TraceContext.from_dict(ctx_dict) if ctx_dict else None
     try:
         with use_context(context):
-            if init is not None:
-                init(rank)
-            with trace(f"dist.pool.worker:{rank}"):
-                while True:
-                    message = conn.recv()
-                    if message[0] == "stop":
-                        break
-                    _, index, payload = message
-                    try:
-                        with trace(f"dist.pool.task:{index}"):
-                            result = fn(payload)
-                        conn.send(("ok", rank, index, result))
-                    except BaseException as error:  # noqa: BLE001 - shipped home
-                        conn.send(("err", rank, index, picklable_error(error)))
-        conn.send(("bye", rank, span_records()))
-    except (EOFError, OSError, KeyboardInterrupt):  # parent gone: die quietly
-        pass
+            with trace(f"{name}:{rank}"):
+                body(conn, rank, incarnation)
+        # the root just closed, so the freshly-reset tracer holds exactly
+        # this incarnation's finished tree
+        conn.send(("done", rank, span_records()))
+    except (EOFError, OSError, KeyboardInterrupt):
+        pass  # parent gone or shutting down: die quietly
+    except Exception as error:  # classified by the parent
+        try:
+            conn.send(("error", rank, picklable_error(error)))
+        except OSError:
+            pass
 
 
-class WorkerPool:
-    """A supervised multiprocessing task farm (see module docs).
+class WorkerFleet:
+    """Supervised worker processes, one per rank (see module docs).
 
-    ``fn(payload)`` runs in the workers; ``run(tasks)`` returns one result
-    per task, in task order, surviving worker deaths up to the policy's
-    budgets.  ``init(rank)`` runs once per worker incarnation before any
-    task (install per-pid sinks there).  The ``site`` names the fault
-    point visited at dispatch and the retry site used for requeue
-    accounting.
+    ``body(conn, rank, incarnation)`` runs in every worker after the
+    bootstrap; ``incarnation`` counts from 0 per rank, so a body can arm
+    something in a worker's first life only.  The root span of each
+    worker is named ``f"{name}:{rank}"``.  Entering the fleet spawns every
+    rank; leaving it normally drains the span buffers into
+    :attr:`span_buffer`, leaving it on an exception kills the workers.
     """
 
     def __init__(
         self,
         num_workers: int,
-        fn,
+        body,
         policy: RestartPolicy = RestartPolicy(),
-        site: str = "dist.task",
-        init=None,
         sleep=time.sleep,
-        clock=time.monotonic,
-        poll_s: float = 0.05,
-        mp_context=None,
+        name: str = "dist.worker",
     ) -> None:
-        self.fn = fn
-        self.site = site
-        self.init = init
+        self.body = body
+        self.name = name
         self.policy = policy
-        self.core = SupervisorCore(num_workers, policy, clock)
+        self.core = SupervisorCore(num_workers, policy)
         self._sleep = sleep
-        self._poll_s = poll_s
-        self._ctx = mp_context if mp_context is not None else mp.get_context("fork")
+        self._mp = mp.get_context("fork")
         self._conns: dict[int, object] = {}
         self._procs: dict[int, object] = {}
+        self._incarnation = dict.fromkeys(range(num_workers), 0)
         self.span_buffer: list[dict] = []
         self._span_ids: set[str] = set()
         context = current_context()
@@ -323,33 +286,41 @@ class WorkerPool:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def __enter__(self) -> "WorkerPool":
+    def __enter__(self) -> "WorkerFleet":
         for rank in sorted(self.core.live):
-            self._spawn(rank)
+            self.spawn(rank)
         return self
 
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+    def __exit__(self, exc_type, *exc_info) -> None:
+        self.close(drain=exc_type is None)
 
-    def _spawn(self, rank: int) -> None:
-        parent_conn, child_conn = self._ctx.Pipe()
-        process = self._ctx.Process(
-            target=_pool_worker_main,
-            args=(child_conn, rank, self.fn, self._ctx_dict, self.init),
+    def spawn(self, rank: int) -> None:
+        parent_conn, child_conn = self._mp.Pipe()
+        process = self._mp.Process(
+            target=_worker_main,
+            args=(
+                child_conn,
+                rank,
+                self._incarnation[rank],
+                self.body,
+                self.name,
+                self._ctx_dict,
+            ),
             daemon=True,
         )
         process.start()
         child_conn.close()
+        self._incarnation[rank] += 1
         self._conns[rank] = parent_conn
         self._procs[rank] = process
 
-    def _kill(self, rank: int) -> None:
+    def kill(self, rank: int) -> None:
         process = self._procs.get(rank)
         if process is not None and process.is_alive():
             os.kill(process.pid, signal.SIGKILL)
             process.join()
 
-    def _reap(self, rank: int) -> None:
+    def reap(self, rank: int) -> None:
         conn = self._conns.pop(rank, None)
         if conn is not None:
             conn.close()
@@ -357,28 +328,30 @@ class WorkerPool:
         if process is not None:
             process.join(timeout=5.0)
 
-    def close(self) -> None:
-        """Drain span buffers from live workers and shut everything down."""
-        for rank in sorted(self.core.live):
-            conn = self._conns.get(rank)
-            if conn is None:
-                continue
-            try:
-                conn.send(("stop",))
-            except (BrokenPipeError, OSError):
-                continue
-            while True:
-                if not conn.poll(5.0):
-                    break
-                try:
-                    message = conn.recv()
-                except (EOFError, OSError):
-                    break
-                if message[0] == "bye":
-                    self._absorb_spans(message[2])
-                    break
+    def send(self, rank: int, message) -> None:
+        """Send to ``rank``; a dead worker surfaces as the next "dead" event."""
+        try:
+            self._conns[rank].send(message)
+        except (BrokenPipeError, OSError, KeyError):
+            pass
+
+    def close(self, drain: bool = True) -> None:
+        """Drain live workers' span buffers (if ``drain``), then kill and reap all."""
+        if drain:
+            for rank in sorted(self.core.live):
+                self.send(rank, ("stop",))
+                conn = self._conns.get(rank)
+                while conn is not None and conn.poll(_DRAIN_S):
+                    try:
+                        message = conn.recv()
+                    except (EOFError, OSError):
+                        break
+                    if message[0] == "done":
+                        self._absorb_spans(message[2])
+                        break
         for rank in list(self._procs):
-            self._reap(rank)
+            self.kill(rank)
+            self.reap(rank)
 
     def _absorb_spans(self, records) -> None:
         for record in records or ():
@@ -388,8 +361,98 @@ class WorkerPool:
                 self.span_buffer.append(record)
 
     # ------------------------------------------------------------------
-    # Task execution
+    # Events
     # ------------------------------------------------------------------
+    def events(self, ranks) -> list[tuple[int, tuple | None]]:
+        """One sweep over ``ranks``: ``(rank, message)``, ``message=None`` = dead.
+
+        A dead worker is one whose pipe hit EOF or whose process sentinel
+        fired with nothing left to read.  An ``("error", ...)`` message
+        from the bootstrap is classified here: fatal raises
+        :class:`DistError`, retryable kills the worker and reports it
+        dead.  When no rank has an event, waits on the pipes and process
+        sentinels (at most ``_POLL_S``) and returns an empty list.
+        """
+        events = []
+        for rank in sorted(ranks):
+            conn = self._conns.get(rank)
+            if conn is None:
+                continue
+            if conn.poll(0):
+                try:
+                    message = conn.recv()
+                except (EOFError, OSError):
+                    # EOF: the channel is finished (an EOF'd pipe stays
+                    # poll-ready forever, so it must be handled *here*,
+                    # not by the is-alive check below).
+                    self.kill(rank)
+                    message = None
+                if message is not None and message[0] == "error":
+                    error = message[2]
+                    if self.policy.task_retry.classify(error) == "fatal":
+                        raise DistError(f"worker {rank} failed fatally") from error
+                    self.kill(rank)
+                    message = None
+                events.append((rank, message))
+            elif not self._procs[rank].is_alive() and not conn.poll(0):
+                events.append((rank, None))
+        if not events:
+            handles = []
+            for rank in sorted(ranks):
+                if rank in self._conns:
+                    handles += [self._conns[rank], self._procs[rank].sentinel]
+            if handles:
+                _mp_wait(handles, timeout=_POLL_S)
+        return events
+
+    def on_death(self, rank: int) -> str:
+        """Reap a dead worker, then respawn it after the backoff or degrade its slot."""
+        self.reap(rank)
+        decision = self.core.on_death(rank)
+        if decision.action == "restart":
+            if decision.delay > 0:
+                self._sleep(decision.delay)
+            self.spawn(rank)
+        return decision.action
+
+
+def _task_loop(fn, conn, rank: int, incarnation: int) -> None:
+    """Pool worker body: run ``fn`` on each dispatched task until ``stop``."""
+    while True:
+        message = conn.recv()
+        if message[0] == "stop":
+            return
+        _, index, payload = message
+        try:
+            with trace(f"dist.pool.task:{index}"):
+                result = fn(payload)
+            conn.send(("ok", rank, index, result))
+        except BaseException as error:  # noqa: BLE001 - shipped home
+            conn.send(("err", rank, index, picklable_error(error)))
+
+
+class WorkerPool(WorkerFleet):
+    """A supervised multiprocessing task farm (see module docs).
+
+    ``fn(payload)`` runs in the workers; ``run(tasks)`` returns one result
+    per task, in task order, surviving worker deaths up to the policy's
+    budgets.  The ``site`` names the fault point visited at dispatch and
+    the retry site used for requeue accounting.
+    """
+
+    def __init__(
+        self,
+        num_workers: int,
+        fn,
+        policy: RestartPolicy = RestartPolicy(),
+        site: str = "dist.task",
+        sleep=time.sleep,
+    ) -> None:
+        super().__init__(
+            num_workers, partial(_task_loop, fn), policy, sleep, name="dist.pool.worker"
+        )
+        self.site = site
+
     def run(self, tasks: list) -> list:
         """Run every task; returns results in task order.
 
@@ -400,7 +463,7 @@ class WorkerPool:
         pending = list(range(len(tasks)))
         attempts = [0] * len(tasks)
         assigned: dict[int, int] = {}
-        idle = [rank for rank in sorted(self.core.live) if rank in self._conns]
+        idle = sorted(self.core.live)
         done = 0
         while done < len(tasks):
             if not self.core.live:
@@ -422,57 +485,26 @@ class WorkerPool:
                     self._requeue(index, attempts, pending, error)
                     continue
                 if spec is not None and spec.kind == "kill":
-                    self._kill(rank)
-                    continue  # death path below requeues the task
-                try:
-                    self._conns[rank].send(("task", index, tasks[index]))
-                except (BrokenPipeError, OSError):
-                    pass  # death path below requeues the task
-            progressed = False
-            for rank in sorted(self.core.live):
-                conn = self._conns.get(rank)
-                if conn is None:
-                    continue
-                message = None
-                if conn.poll(0):
-                    try:
-                        message = conn.recv()
-                    except (EOFError, OSError):
-                        # EOF: the channel is finished (an EOF'd pipe stays
-                        # poll-ready forever, so it must be handled *here*,
-                        # not by the is-alive check below).
-                        self._kill(rank)
-                        self._on_worker_death(rank, assigned, pending, attempts, idle)
-                        progressed = True
-                        continue
+                    self.kill(rank)
+                    continue  # the "dead" event requeues the task
+                self.send(rank, ("task", index, tasks[index]))
+            for rank, message in self.events(self.core.live):
                 if message is None:
-                    if not self._procs[rank].is_alive() and not conn.poll(0):
-                        self._on_worker_death(rank, assigned, pending, attempts, idle)
-                        progressed = True
+                    self._on_worker_death(rank, assigned, pending, attempts, idle)
                     continue
-                progressed = True
-                kind = message[0]
-                if kind == "hb":
-                    self.core.beat(rank)
-                    continue
-                self.core.beat(rank)
-                index = message[2]
+                kind, _, index = message[:3]
+                assigned.pop(rank, None)
+                idle.append(rank)
                 if kind == "ok":
                     results[index] = message[3]
                     done += 1
-                    assigned.pop(rank, None)
-                    idle.append(rank)
                 elif kind == "err":
                     error = message[3]
-                    assigned.pop(rank, None)
-                    idle.append(rank)
                     if self.policy.task_retry.classify(error) == "fatal":
                         raise DistError(
                             f"task {index} failed fatally in worker {rank}"
                         ) from error
                     self._requeue(index, attempts, pending, error)
-            if not progressed:
-                self._wait_for_events(assigned)
         return results
 
     def _requeue(
@@ -505,22 +537,5 @@ class WorkerPool:
             )
         if rank in idle:
             idle.remove(rank)
-        self._reap(rank)
-        decision = self.core.on_death(rank)
-        if decision.action == "restart":
-            if decision.delay > 0:
-                self._sleep(decision.delay)
-            self._spawn(rank)
+        if self.on_death(rank) == "restart":
             idle.append(rank)
-
-    def _wait_for_events(self, assigned: dict[int, int]) -> None:
-        handles = []
-        for rank in sorted(self.core.live):
-            conn = self._conns.get(rank)
-            if conn is not None:
-                handles.append(conn)
-            process = self._procs.get(rank)
-            if process is not None:
-                handles.append(process.sentinel)
-        if handles:
-            _mp_wait(handles, timeout=self._poll_s)

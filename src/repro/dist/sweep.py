@@ -154,7 +154,6 @@ def run_sweep(
     policy: RestartPolicy | None = None,
     resume: bool = True,
     sleep=time.sleep,
-    clock=time.monotonic,
 ) -> SweepResult:
     """Farm ``cells`` to a supervised worker pool; durable per-cell results.
 
@@ -195,12 +194,11 @@ def run_sweep(
             policy=policy,
             site="dist.sweep.cell",
             sleep=sleep,
-            clock=clock,
         ) as pool:
             records = pool.run([(cell, str(out_dir)) for cell in outstanding])
             restarts = pool.core.total_restarts
             degraded = sorted(pool.core.removed)
-        # span buffers arrive with the workers' "bye" messages on close,
+        # span buffers arrive with the workers' "done" messages on close,
         # so they are only complete after the pool context exits
         spans = list(pool.span_buffer)
         for record in records:

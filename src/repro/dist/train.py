@@ -42,11 +42,12 @@ Only **degradation** (a slot's restart budget exhausted → averaging over
 the survivors) changes the math, and that is announced with a
 ``dist.degraded`` run-log event.
 
-The ``"inline"`` backend executes the same arithmetic single-process (one
-model, per-rank backwards in rank order, one averaged apply) and is
-bitwise-equal to the ``"process"`` backend — it is both the parity oracle
-for the chaos tests and the near-zero-overhead path benchmarked against
-plain :func:`~repro.core.trainer.train_rapid`.
+The workers run on :class:`~repro.dist.supervisor.WorkerFleet`, the same
+process plumbing as the eval-sweep task farm; this module adds only the
+worker body (adopt, then grad/update rounds) and the parent's lockstep
+loop over the fleet's events.  The single-process parity reference —
+per-rank backwards in rank order, one averaged apply, bitwise equal to
+this fleet — is :func:`repro.testing.reference.train_dist_reference`.
 
 Checkpoints: the parent writes per-rank directories
 (``rank000/ ...``) every epoch through the PR 5 format, with per-worker
@@ -57,13 +58,9 @@ there.
 
 from __future__ import annotations
 
-import multiprocessing as mp
-import os
-import signal
-import time
 from dataclasses import dataclass, field
+from functools import partial
 from math import ceil
-from multiprocessing.connection import wait as _mp_wait
 from pathlib import Path
 from typing import Sequence
 
@@ -74,22 +71,20 @@ from ..core.trainer import TrainConfig, apply_step, backward_batch
 from ..data.batching import iterate_batches
 from ..data.schema import Catalog, Population, RankingRequest
 from ..obs import get_registry, get_run_logger, trace
-from ..obs.context import (
-    TraceContext,
-    current_context,
-    merge_span_records,
-    span_records,
-    span_tree_records,
-    use_context,
+from ..obs.context import merge_span_records, span_tree_records
+from ..resilience.chaos import (
+    ChaosPlan,
+    FaultSpec,
+    faultpoint,
+    faultpoint_signal,
+    install_chaos,
 )
-from ..obs.tracing import reset_tracer
-from ..resilience.chaos import ChaosPlan, FaultSpec, clear_chaos, faultpoint, faultpoint_signal, install_chaos
 from ..resilience.checkpoint import (
     CheckpointConfig,
     CheckpointManager,
     TrainingCheckpoint,
 )
-from .supervisor import DistError, RestartPolicy, SupervisorCore, picklable_error
+from .supervisor import DistError, RestartPolicy, WorkerFleet
 
 __all__ = [
     "DistTrainConfig",
@@ -105,21 +100,16 @@ class DistTrainConfig:
     """Fleet shape and fault-tolerance knobs for :func:`train_dist`."""
 
     world_size: int = 2
-    backend: str = "process"  # "process" | "inline"
     restart: RestartPolicy = field(default_factory=RestartPolicy)
     checkpoint: CheckpointConfig | None = None
     #: ``(rank, FaultSpec)`` pairs armed inside that worker's *first*
     #: incarnation only (replacements never re-arm, or a ``times=1`` kill
     #: would fire once per incarnation and eat the restart budget).
     worker_chaos: tuple = ()
-    poll_s: float = 0.02
-    done_timeout_s: float = 60.0
 
     def __post_init__(self) -> None:
         if self.world_size < 1:
             raise ValueError("world_size must be >= 1")
-        if self.backend not in ("process", "inline"):
-            raise ValueError("backend must be 'process' or 'inline'")
         for entry in self.worker_chaos:
             rank, spec = entry
             if not (0 <= rank < self.world_size and isinstance(spec, FaultSpec)):
@@ -206,9 +196,9 @@ def average_contributions(contribs):
     """Count-weighted gradient/loss average, summed in rank order.
 
     ``contribs`` is a rank-sorted list of ``(rank, grads, loss, count)``.
-    Both backends call this exact function, so the floating-point
-    reduction order — the thing bitwise parity hinges on — is shared by
-    construction.
+    The fleet's parent and the single-process reference call this exact
+    function, so the floating-point reduction order — the thing bitwise
+    parity hinges on — is shared by construction.
     """
     total = float(sum(c[3] for c in contribs))
     first = contribs[0]
@@ -281,211 +271,77 @@ def _resume_common(managers) -> "TrainingCheckpoint | None":
 
 
 # ----------------------------------------------------------------------
-# Inline backend: the single-process parity oracle
+# The worker body and the parent's lockstep loop
 # ----------------------------------------------------------------------
-def _train_inline(
-    model, shards, catalog, population, histories, config, dist, logger
-) -> DistTrainResult:
-    optimizer = nn.Adam(
-        model.parameters(), lr=config.lr, weight_decay=config.weight_decay
-    )
-    losses: list[float] = []
-    start_epoch = 0
-    managers = _rank_managers(dist)
-    if managers is not None:
-        restored = _resume_common(managers)
-        if restored is not None:
-            model.load_state_dict(restored.model_state)
-            optimizer.load_state_dict(restored.optimizer_state)
-            losses = list(restored.losses)
-            start_epoch = restored.epoch + 1
-            logger.log("dist.resume", epoch=restored.epoch, backend="inline")
-    model.train()
-    steps = _steps_per_epoch(shards, config.batch_size)
-    step_counter = get_registry().counter("dist.steps")
-    for epoch in range(start_epoch, config.epochs):
-        batches = [
-            _rank_batches(shard, catalog, population, histories, config, epoch, rank)
-            for rank, shard in enumerate(shards)
-        ]
-        step_losses = []
-        for step in range(steps):
-            contribs = []
-            for rank in range(dist.world_size):
-                faultpoint("dist.worker.step")
-                loss, count = backward_batch(
-                    model,
-                    optimizer,
-                    batches[rank][step],
-                    _step_rng(config.seed, epoch, step, rank),
-                )
-                contribs.append((rank, _collect_grads(model), float(loss.item()), count))
-            averaged, step_loss = average_contributions(contribs)
-            apply_step(model, optimizer, config.grad_clip, grads=averaged)
-            step_counter.inc()
-            step_losses.append(step_loss)
-        mean_loss = float(np.mean(step_losses))
-        losses.append(mean_loss)
-        logger.log("dist.epoch", epoch=epoch, loss=mean_loss, backend="inline")
-        if managers is not None:
-            _save_rank_checkpoints(
-                managers, model, optimizer, epoch, losses, config, dist
-            )
-    return DistTrainResult(losses=losses)
-
-
-# ----------------------------------------------------------------------
-# Process backend: supervised worker fleet
-# ----------------------------------------------------------------------
-def _train_worker_main(
-    conn,
-    rank,
-    shard,
+def _train_worker(
+    shards,
     catalog,
     population,
     histories,
     config,
     steps,
     model,
-    ctx_dict,
-    chaos_specs,
+    worker_chaos,
+    conn,
+    rank,
+    incarnation,
 ) -> None:
     """One training worker: adopt state, then lockstep grad/update rounds."""
-    clear_chaos()
-    # Fork inherits the parent's tracer — finished roots *and* the still-open
-    # ``dist.train`` span stack.  Without a reset the worker's root span
-    # would nest under that inherited (never-popped) span and be lost.
-    reset_tracer()
-    if chaos_specs:
-        install_chaos(ChaosPlan(list(chaos_specs), seed=config.seed + rank))
-    context = TraceContext.from_dict(ctx_dict) if ctx_dict else None
-    try:
-        optimizer = nn.Adam(
-            model.parameters(), lr=config.lr, weight_decay=config.weight_decay
+    if incarnation == 0 and worker_chaos.get(rank):
+        install_chaos(ChaosPlan(worker_chaos[rank], seed=config.seed + rank))
+    optimizer = nn.Adam(
+        model.parameters(), lr=config.lr, weight_decay=config.weight_decay
+    )
+    model.train()
+    _, model_state, optimizer_state, epoch, step = conn.recv()  # "adopt"
+    model.load_state_dict(model_state)
+    optimizer.load_state_dict(optimizer_state)
+    while epoch < config.epochs:
+        batches = _rank_batches(
+            shards[rank], catalog, population, histories, config, epoch, rank
         )
-        model.train()
-        _, model_state, optimizer_state, epoch, step = conn.recv()  # "adopt"
-        model.load_state_dict(model_state)
-        if optimizer_state is not None:
-            optimizer.load_state_dict(optimizer_state)
-        with use_context(context):
-            with trace(f"dist.worker:{rank}"):
-                while epoch < config.epochs:
-                    batches = _rank_batches(
-                        shard, catalog, population, histories, config, epoch, rank
-                    )
-                    for current in range(step, steps):
-                        faultpoint("dist.worker.step")
-                        with trace("dist.step"):
-                            loss, count = backward_batch(
-                                model,
-                                optimizer,
-                                batches[current],
-                                _step_rng(config.seed, epoch, current, rank),
-                            )
-                        conn.send(
-                            (
-                                "grad",
-                                rank,
-                                epoch,
-                                current,
-                                _collect_grads(model),
-                                float(loss.item()),
-                                count,
-                            )
-                        )
-                        reply = conn.recv()  # ("update", averaged_grads)
-                        apply_step(model, optimizer, config.grad_clip, grads=reply[1])
-                    step = 0
-                    epoch += 1
-        # the worker root just popped, so the freshly-reset tracer holds
-        # exactly this incarnation's finished tree
-        conn.send(("done", rank, span_records()))
-    except (EOFError, BrokenPipeError, OSError, KeyboardInterrupt):
-        pass  # parent gone or shutting down: die quietly
-    except BaseException as error:  # noqa: BLE001 - classified by the parent
-        try:
-            conn.send(("error", rank, picklable_error(error)))
-        except (BrokenPipeError, OSError):
-            pass
-
-
-class _Fleet:
-    """Parent-side worker bookkeeping for the process backend."""
-
-    def __init__(self, dist, spawn_args, sleep=time.sleep):
-        self.dist = dist
-        self.core = SupervisorCore(dist.world_size, dist.restart)
-        self.spawn_args = spawn_args  # per-rank tuples, minus conn + chaos
-        self.ctx = mp.get_context("fork")
-        self.conns: dict[int, object] = {}
-        self.procs: dict[int, object] = {}
-        self.incarnation = {rank: 0 for rank in range(dist.world_size)}
-        self.worker_chaos: dict[int, list[FaultSpec]] = {}
-        for rank, spec in dist.worker_chaos:
-            self.worker_chaos.setdefault(rank, []).append(spec)
-        self.spans: list[dict] = []
-        self._sleep = sleep
-
-    def spawn(self, rank, model_state, optimizer_state, epoch, step) -> None:
-        first = self.incarnation[rank] == 0
-        specs = self.worker_chaos.get(rank, []) if first else []
-        self.incarnation[rank] += 1
-        parent_conn, child_conn = self.ctx.Pipe()
-        args = self.spawn_args(rank)
-        process = self.ctx.Process(
-            target=_train_worker_main,
-            args=(child_conn, *args, specs),
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        self.conns[rank] = parent_conn
-        self.procs[rank] = process
-        parent_conn.send(("adopt", model_state, optimizer_state, epoch, step))
-
-    def kill(self, rank) -> None:
-        process = self.procs.get(rank)
-        if process is not None and process.is_alive():
-            os.kill(process.pid, signal.SIGKILL)
-            process.join()
-
-    def reap(self, rank) -> None:
-        conn = self.conns.pop(rank, None)
-        if conn is not None:
-            conn.close()
-        process = self.procs.pop(rank, None)
-        if process is not None:
-            process.join(timeout=5.0)
-
-    def handle_death(self, rank, model, optimizer, epoch, step) -> str:
-        """Restart (adopting the parent replica at ``(epoch, step)``) or degrade."""
-        self.reap(rank)
-        decision = self.core.on_death(rank)
-        if decision.action == "restart":
-            if decision.delay > 0:
-                self._sleep(decision.delay)
-            self.spawn(
-                rank, model.state_dict(), optimizer.state_dict(), epoch, step
+        for current in range(step, steps):
+            faultpoint("dist.worker.step")
+            with trace("dist.step"):
+                loss, count = backward_batch(
+                    model,
+                    optimizer,
+                    batches[current],
+                    _step_rng(config.seed, epoch, current, rank),
+                )
+            conn.send(
+                (
+                    "grad",
+                    rank,
+                    epoch,
+                    current,
+                    _collect_grads(model),
+                    float(loss.item()),
+                    count,
+                )
             )
-        return decision.action
-
-    def send_update(self, rank, averaged) -> None:
-        try:
-            self.conns[rank].send(("update", averaged))
-        except (BrokenPipeError, OSError, KeyError):
-            pass  # death is picked up by the next collection round
-
-    def absorb_spans(self, records) -> None:
-        self.spans.extend(records or ())
-
-    def shutdown(self) -> None:
-        for rank in list(self.procs):
-            self.kill(rank)
-            self.reap(rank)
+            reply = conn.recv()  # ("update", averaged_grads)
+            apply_step(model, optimizer, config.grad_clip, grads=reply[1])
+        step = 0
+        epoch += 1
 
 
-def _train_process(
+def _adopt(fleet, rank, model, optimizer, epoch, step) -> None:
+    """Hand a fresh worker the parent replica's state at ``(epoch, step)``."""
+    fleet.send(
+        rank, ("adopt", model.state_dict(), optimizer.state_dict(), epoch, step)
+    )
+
+
+def _replace(fleet, rank, model, optimizer, epoch, step) -> str:
+    """Restart a dead worker adopting ``(epoch, step)``, or degrade its slot."""
+    action = fleet.on_death(rank)
+    if action == "restart":
+        _adopt(fleet, rank, model, optimizer, epoch, step)
+    return action
+
+
+def _train_fleet(
     model, shards, catalog, population, histories, config, dist, logger
 ) -> DistTrainResult:
     optimizer = nn.Adam(
@@ -501,37 +357,32 @@ def _train_process(
             optimizer.load_state_dict(restored.optimizer_state)
             losses = list(restored.losses)
             start_epoch = restored.epoch + 1
-            logger.log("dist.resume", epoch=restored.epoch, backend="process")
+            logger.log("dist.resume", epoch=restored.epoch)
     model.train()
     steps = _steps_per_epoch(shards, config.batch_size)
     step_counter = get_registry().counter("dist.steps")
-    context = current_context()
-    ctx_dict = context.to_dict() if context is not None else None
-
-    def spawn_args(rank):
-        return (
-            rank,
-            shards[rank],
-            catalog,
-            population,
-            histories,
-            config,
-            steps,
-            model,
-            ctx_dict,
-        )
-
-    fleet = _Fleet(dist, spawn_args)
-    try:
+    worker_chaos: dict[int, list[FaultSpec]] = {}
+    for rank, spec in dist.worker_chaos:
+        worker_chaos.setdefault(rank, []).append(spec)
+    body = partial(
+        _train_worker,
+        shards,
+        catalog,
+        population,
+        histories,
+        config,
+        steps,
+        model,
+        worker_chaos,
+    )
+    with WorkerFleet(dist.world_size, body, dist.restart) as fleet:
         for rank in sorted(fleet.core.live):
-            fleet.spawn(
-                rank, model.state_dict(), optimizer.state_dict(), start_epoch, 0
-            )
+            _adopt(fleet, rank, model, optimizer, start_epoch, 0)
         for epoch in range(start_epoch, config.epochs):
             step_losses = []
             for step in range(steps):
                 contribs, killed_after = _collect_step(
-                    fleet, model, optimizer, epoch, step, dist
+                    fleet, model, optimizer, epoch, step
                 )
                 averaged, step_loss = average_contributions(
                     [contribs[rank] for rank in sorted(contribs)]
@@ -539,41 +390,38 @@ def _train_process(
                 apply_step(model, optimizer, config.grad_clip, grads=averaged)
                 step_counter.inc()
                 step_losses.append(step_loss)
-                for rank in sorted(fleet.core.live):
-                    if rank not in killed_after:
-                        fleet.send_update(rank, averaged)
+                for rank in sorted(fleet.core.live - killed_after):
+                    fleet.send(rank, ("update", averaged))
                 # Parent-side kills banked their contribution; the
                 # replacement resumes at the *next* position, post-update.
-                for rank in killed_after:
-                    next_epoch, next_step = (
-                        (epoch, step + 1) if step + 1 < steps else (epoch + 1, 0)
-                    )
-                    fleet.handle_death(rank, model, optimizer, next_epoch, next_step)
+                next_epoch, next_step = (
+                    (epoch, step + 1) if step + 1 < steps else (epoch + 1, 0)
+                )
+                for rank in sorted(killed_after):
+                    _replace(fleet, rank, model, optimizer, next_epoch, next_step)
             mean_loss = float(np.mean(step_losses))
             losses.append(mean_loss)
             logger.log(
                 "dist.epoch",
                 epoch=epoch,
                 loss=mean_loss,
-                backend="process",
                 live_workers=len(fleet.core.live),
             )
             if managers is not None:
                 _save_rank_checkpoints(
                     managers, model, optimizer, epoch, losses, config, dist
                 )
-        _drain_done(fleet, dist)
-        return DistTrainResult(
-            losses=losses,
-            restarts=fleet.core.total_restarts,
-            degraded=sorted(fleet.core.removed),
-            span_records=list(fleet.spans),
-        )
-    finally:
-        fleet.shutdown()
+    # span buffers arrive with the workers' "done" messages as the fleet
+    # closes, so they are only complete after the ``with`` block
+    return DistTrainResult(
+        losses=losses,
+        restarts=fleet.core.total_restarts,
+        degraded=sorted(fleet.core.removed),
+        span_records=list(fleet.span_buffer),
+    )
 
 
-def _collect_step(fleet, model, optimizer, epoch, step, dist):
+def _collect_step(fleet, model, optimizer, epoch, step):
     """Gather one full round of gradient contributions (see module docs).
 
     Blocks until every live worker has contributed for ``(epoch, step)``,
@@ -586,63 +434,11 @@ def _collect_step(fleet, model, optimizer, epoch, step, dist):
     killed_after: set[int] = set()
     pending = set(fleet.core.live)
     while pending:
-        if not fleet.core.live:
-            raise DistError(
-                f"every training worker is gone at epoch {epoch} step {step}"
-            )
-        progressed = False
-        for rank in sorted(pending):
-            conn = fleet.conns.get(rank)
-            if conn is None:
-                pending.discard(rank)
-                continue
-            message = None
-            if conn.poll(0):
-                try:
-                    message = conn.recv()
-                except (EOFError, OSError):
-                    # EOF: the channel is finished (an EOF'd pipe stays
-                    # poll-ready forever, so the is-alive check below would
-                    # never trigger) — the worker is gone.
-                    fleet.kill(rank)
-                    action = fleet.handle_death(rank, model, optimizer, epoch, step)
-                    if action == "degrade":
-                        pending.discard(rank)
-                    progressed = True
-                    continue
+        for rank, message in fleet.events(pending):
             if message is None:
-                process = fleet.procs.get(rank)
-                if (
-                    process is not None
-                    and not process.is_alive()
-                    and not conn.poll(0)
-                ):
-                    action = fleet.handle_death(rank, model, optimizer, epoch, step)
-                    if action == "degrade":
-                        pending.discard(rank)
-                    progressed = True
-                continue
-            progressed = True
-            kind = message[0]
-            if kind == "hb":
-                fleet.core.beat(rank)
-                continue
-            if kind == "error":
-                fleet.core.beat(rank)
-                error = message[2]
-                if dist.restart.task_retry.classify(error) == "fatal":
-                    raise DistError(
-                        f"worker {rank} failed fatally at epoch {epoch} "
-                        f"step {step}"
-                    ) from error
-                fleet.kill(rank)
-                action = fleet.handle_death(rank, model, optimizer, epoch, step)
-                if action == "degrade":
+                if _replace(fleet, rank, model, optimizer, epoch, step) == "degrade":
                     pending.discard(rank)
                 continue
-            if kind != "grad":
-                continue
-            fleet.core.beat(rank)
             spec = faultpoint_signal("dist.worker.step")
             if spec is not None and spec.kind == "kill":
                 fleet.kill(rank)
@@ -655,51 +451,11 @@ def _collect_step(fleet, model, optimizer, epoch, step, dist):
                 )
             contribs[rank] = (rank, grads, loss, count)
             pending.discard(rank)
-        if not progressed:
-            handles = []
-            for rank in sorted(pending):
-                conn = fleet.conns.get(rank)
-                if conn is not None:
-                    handles.append(conn)
-                process = fleet.procs.get(rank)
-                if process is not None:
-                    handles.append(process.sentinel)
-            if handles:
-                _mp_wait(handles, timeout=dist.poll_s)
     if not contribs:
         raise DistError(
-            f"no gradient contributions survived epoch {epoch} step {step}"
+            f"every training worker is gone at epoch {epoch} step {step}"
         )
     return contribs, killed_after
-
-
-def _drain_done(fleet, dist) -> None:
-    """Collect final ``done`` messages (and span buffers) from the fleet."""
-    deadline = time.monotonic() + dist.done_timeout_s
-    pending = set(fleet.core.live)
-    while pending and time.monotonic() < deadline:
-        for rank in sorted(pending):
-            conn = fleet.conns.get(rank)
-            process = fleet.procs.get(rank)
-            if conn is None:
-                pending.discard(rank)
-                continue
-            if conn.poll(0):
-                try:
-                    message = conn.recv()
-                except (EOFError, OSError):
-                    pending.discard(rank)
-                    continue
-                if message[0] == "done":
-                    fleet.absorb_spans(message[2])
-                    pending.discard(rank)
-            elif process is not None and not process.is_alive():
-                pending.discard(rank)  # died at the finish line: spans lost
-        if pending:
-            _mp_wait(
-                [fleet.conns[r] for r in sorted(pending) if r in fleet.conns],
-                timeout=dist.poll_s,
-            )
 
 
 # ----------------------------------------------------------------------
@@ -726,21 +482,15 @@ def train_dist(
     shards = shard_requests(requests, dist.world_size)
     logger.log(
         "dist.start",
-        backend=dist.backend,
         world_size=dist.world_size,
         num_requests=len(requests),
         epochs=config.epochs,
     )
     get_registry().gauge("dist.live_workers").set(float(dist.world_size))
     with trace("dist.train") as train_span:
-        if dist.backend == "inline":
-            result = _train_inline(
-                model, shards, catalog, population, histories, config, dist, logger
-            )
-        else:
-            result = _train_process(
-                model, shards, catalog, population, histories, config, dist, logger
-            )
+        result = _train_fleet(
+            model, shards, catalog, population, histories, config, dist, logger
+        )
     # collected only now: the tracer files a tree when its *root* closes,
     # so inside the block the parent's own spans were still invisible
     result.span_records = merge_span_records(
@@ -748,7 +498,6 @@ def train_dist(
     )
     logger.log(
         "dist.done",
-        backend=dist.backend,
         epochs_run=len(result.losses),
         restarts=result.restarts,
         degraded=result.degraded,

@@ -28,17 +28,12 @@ replays every fused-kernel case on these kernels with explicit
 tolerance/ULP budgets), the golden-slate suite (identical slates float32
 vs float64 for every reranker), and the per-layer drift tests.
 
-Profiling: when the ``repro.obs`` op profiler is enabled it installs
-:data:`_PROFILE_HOOK`; the kernels below then report wall time under
-``dispatch=infer`` so ``python -m repro.obs.report`` can attribute serving
-time to them.  Disabled cost is a single module-global ``None`` check per
-kernel call (gated by ``benchmarks/bench_obs_overhead.py``).
+Profiling: the fused scan ops that call these kernels are in
+:data:`~repro.nn.tensor.PROFILED_OPS`, so the ``repro.obs`` op profiler
+times every kernel call once, under the calling op's name.
 """
 
 from __future__ import annotations
-
-import time
-from typing import Callable
 
 import numpy as np
 
@@ -52,34 +47,6 @@ __all__ = [
     "INFER_CASES",
     "register_infer_case",
 ]
-
-# ----------------------------------------------------------------------
-# Op-profiler hook.  ``repro.obs.autograd`` installs/clears this when the
-# op profiler toggles; kernels report (name, seconds) so the report can
-# render a ``dispatch=infer`` share line.  Disabled residue: one global
-# ``None`` check per kernel call.
-# ----------------------------------------------------------------------
-
-_PROFILE_HOOK: Callable[[str, float], None] | None = None
-
-
-def _profiled(fn: Callable) -> Callable:
-    name = fn.__name__
-
-    def wrapper(*args, **kwargs):
-        hook = _PROFILE_HOOK
-        if hook is None:
-            return fn(*args, **kwargs)
-        start = time.perf_counter()
-        out = fn(*args, **kwargs)
-        hook(name, time.perf_counter() - start)
-        return out
-
-    wrapper.__name__ = name
-    wrapper.__doc__ = fn.__doc__
-    wrapper.__wrapped__ = fn
-    return wrapper
-
 
 # ----------------------------------------------------------------------
 # Recurrent scan kernels.
@@ -240,7 +207,6 @@ def _lstm_loop(
     return out
 
 
-@_profiled
 def lstm_scan_infer(
     gi: np.ndarray, w_hh_t: np.ndarray, mask: np.ndarray | None = None
 ) -> np.ndarray:
@@ -261,7 +227,6 @@ def lstm_scan_infer(
     return _batch_major(out)
 
 
-@_profiled
 def gru_scan_infer(
     gi: np.ndarray, w_hh_t: np.ndarray, mask: np.ndarray | None = None
 ) -> np.ndarray:
@@ -332,7 +297,6 @@ def gru_scan_infer(
     return _batch_major(out)
 
 
-@_profiled
 def bilstm_scan_infer(
     gi_f: np.ndarray,
     gi_b: np.ndarray,

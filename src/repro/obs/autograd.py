@@ -34,7 +34,6 @@ __all__ = [
     "disable_op_profiler",
     "profile_ops",
     "op_stats",
-    "record_infer_op",
     "reset_op_stats",
     "is_op_profiler_enabled",
 ]
@@ -42,9 +41,6 @@ __all__ = [
 _lock = threading.Lock()
 # op name -> [forward_calls, forward_seconds, backward_calls, backward_seconds]
 _stats: dict[str, list[float]] = {}
-# Tape-free kernels (repro.nn.inference) report separately so the report
-# can show how much serving time runs under dispatch=infer.
-_infer_stats: dict[str, list[float]] = {}
 _originals: dict[str, object] = {}
 _enabled = False
 
@@ -56,16 +52,6 @@ def _record(op: str, phase_index: int, seconds: float) -> None:
             row = _stats[op] = [0, 0.0, 0, 0.0]
         row[phase_index] += 1
         row[phase_index + 1] += seconds
-
-
-def record_infer_op(op: str, seconds: float) -> None:
-    """Hook installed on ``repro.nn.inference`` while the profiler is on."""
-    with _lock:
-        row = _infer_stats.get(op)
-        if row is None:
-            row = _infer_stats[op] = [0, 0.0]
-        row[0] += 1
-        row[1] += seconds
 
 
 def _display_name(method_name: str) -> str:
@@ -116,7 +102,6 @@ def is_op_profiler_enabled() -> bool:
 def enable_op_profiler() -> None:
     """Patch the profiling hook onto every op in ``PROFILED_OPS`` (idempotent)."""
     global _enabled
-    from ..nn import inference
     from ..nn.tensor import install_op_wrappers
 
     with _lock:
@@ -128,13 +113,11 @@ def enable_op_profiler() -> None:
             lambda name, fn: _wrap_forward(_display_name(name), fn)
         )
     )
-    inference._PROFILE_HOOK = record_infer_op
 
 
 def disable_op_profiler() -> None:
     """Restore the unpatched ops; accumulated stats are kept until reset."""
     global _enabled
-    from ..nn import inference
     from ..nn.tensor import restore_ops
 
     with _lock:
@@ -143,13 +126,11 @@ def disable_op_profiler() -> None:
         _enabled = False
     restore_ops(_originals)
     _originals.clear()
-    inference._PROFILE_HOOK = None
 
 
 def reset_op_stats() -> None:
     with _lock:
         _stats.clear()
-        _infer_stats.clear()
 
 
 @contextmanager
@@ -176,13 +157,11 @@ def op_stats(registry=None) -> list[dict]:
     registry = registry if registry is not None else get_registry()
     with _lock:
         rows = {op: list(row) for op, row in _stats.items()}
-        infer_rows = {op: list(row) for op, row in _infer_stats.items()}
     result = []
     for op, (f_calls, f_s, b_calls, b_s) in rows.items():
         result.append(
             {
                 "op": op,
-                "dispatch": "tape",
                 "forward_calls": int(f_calls),
                 "forward_ms": 1000.0 * f_s,
                 "backward_calls": int(b_calls),
@@ -194,19 +173,5 @@ def op_stats(registry=None) -> list[dict]:
         registry.gauge("autograd.op.forward_ms", op=op).set(1000.0 * f_s)
         registry.gauge("autograd.op.backward_calls", op=op).set(b_calls)
         registry.gauge("autograd.op.backward_ms", op=op).set(1000.0 * b_s)
-    for op, (calls, seconds) in infer_rows.items():
-        result.append(
-            {
-                "op": op,
-                "dispatch": "infer",
-                "forward_calls": int(calls),
-                "forward_ms": 1000.0 * seconds,
-                "backward_calls": 0,
-                "backward_ms": 0.0,
-                "total_ms": 1000.0 * seconds,
-            }
-        )
-        registry.gauge("autograd.op.infer_calls", op=op).set(calls)
-        registry.gauge("autograd.op.infer_ms", op=op).set(1000.0 * seconds)
     result.sort(key=lambda r: r["total_ms"], reverse=True)
     return result

@@ -118,7 +118,6 @@ def render_report(records: list[dict], top: int = 10) -> str:
             ops[:top],
             [
                 "op",
-                "dispatch",
                 "forward_calls",
                 "forward_ms",
                 "backward_calls",
@@ -130,9 +129,6 @@ def render_report(records: list[dict], top: int = 10) -> str:
         fused_line = _fused_kernel_share(ops)
         if fused_line:
             body = f"{body}\n{fused_line}"
-        infer_line = _infer_dispatch_share(ops)
-        if infer_line:
-            body = f"{body}\n{infer_line}"
         sections.append(_section(f"Top autograd ops (top {top})", body))
 
     slo_body = _slo_section(records)
@@ -289,25 +285,6 @@ def _fused_kernel_share(ops: list[dict]) -> str | None:
     return (
         f"fused kernels ({names}): {fused_ms:.2f} ms — "
         f"{100.0 * fused_ms / total:.1f}% of profiled op time"
-    )
-
-
-def _infer_dispatch_share(ops: list[dict]) -> str | None:
-    """One-line attribution of op time to the tape-free inference path.
-
-    Kernels from ``repro.nn.inference`` report under ``dispatch=infer``
-    (no backward column — there is no tape); this line shows how much of
-    the profiled op time ran on that path.
-    """
-    total = sum(r.get("total_ms", 0.0) for r in ops)
-    infer = [r for r in ops if r.get("dispatch") == "infer"]
-    if not infer or total <= 0:
-        return None
-    infer_ms = sum(r.get("total_ms", 0.0) for r in infer)
-    calls = sum(int(r.get("forward_calls", 0)) for r in infer)
-    return (
-        f"dispatch=infer ({len(infer)} kernels, {calls} calls): "
-        f"{infer_ms:.2f} ms — {100.0 * infer_ms / total:.1f}% of profiled op time"
     )
 
 

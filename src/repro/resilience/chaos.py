@@ -51,15 +51,13 @@ Fault-point map (kept in sync with DESIGN.md §8):
                        name (``rerank.base``; target with ``rerank.score.*``)
 ``eval.rerank``        start of test-set re-ranking (``eval.experiment``)
 ``eval.metrics``       start of metric computation (``eval.experiment``)
-``dist.heartbeat``     worker-heartbeat intake in the dist supervisor
-                       (``"error"`` fires drop the heartbeat)
 ``dist.worker.step``   every data-parallel training step — in the worker
                        (top of the step; ``"kill"`` = worker suicide) and
-                       in the supervisor (per grad message; ``"kill"`` =
+                       in the parent (per grad message; ``"kill"`` =
                        SIGKILL that worker)
 ``dist.shard.write``   before each synthetic-shard archive write
-``dist.sweep.cell``    each eval-sweep cell dispatch (supervisor) and
-                       execution (worker)
+``dist.sweep.cell``    each eval-sweep cell dispatch (``WorkerPool``)
+                       and execution (worker)
 ``op.<name>``          autograd op outputs (``"nan"`` kind only)
 =====================  =====================================================
 """

@@ -1,27 +1,50 @@
-"""Composed-op reference implementations of the fused recurrent ops.
+"""Reference implementations that tests compare production paths against.
 
-Each function here builds the plain autograd graph a fused kernel in
-:mod:`repro.nn.kernels` collapses: gate slices, sigmoids, tanh, the
-elementwise state update and the ``new * keep + old * (1 - keep)`` mask
-blend, one timestep at a time.  Forward values are bitwise equal to the
-kernels (same primitive formulas in the same order); gradients differ only
-in backward summation order.
+**Fused recurrent ops.**  Each recurrent function here builds the plain
+autograd graph a fused kernel in :mod:`repro.nn.kernels` collapses: gate
+slices, sigmoids, tanh, the elementwise state update and the
+``new * keep + old * (1 - keep)`` mask blend, one timestep at a time.
+Forward values are bitwise equal to the kernels (same primitive formulas
+in the same order); gradients differ only in backward summation order.
 
 Production never calls these.  ``repro.nn.kernels.use_fused(False)``
 installs :data:`REFERENCE_OPS` under the fused op names on
 :class:`~repro.nn.tensor.Tensor` for the duration of a block, so the
 differential oracle, the fuzzer and the training-parity tests compare the
 kernels against this graph without a branch in the layers.
+
+**Data-parallel training.**  :func:`train_dist_reference` is the lockstep
+arithmetic of :func:`repro.dist.train_dist` in one process: per-rank
+backwards in rank order, one count-weighted average, one apply.  It has
+no fleet, checkpoint or resume; the dist tests hold the process fleet to
+it bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .. import nn
+from ..core.trainer import apply_step, backward_batch
+from ..dist.train import (
+    _collect_grads,
+    _rank_batches,
+    _step_rng,
+    _steps_per_epoch,
+    average_contributions,
+    shard_requests,
+)
 from ..nn.kernels import zero_state
 from ..nn.tensor import Tensor
 
-__all__ = ["lstm_cell", "gru_cell", "lstm_scan", "gru_scan", "REFERENCE_OPS"]
+__all__ = [
+    "lstm_cell",
+    "gru_cell",
+    "lstm_scan",
+    "gru_scan",
+    "REFERENCE_OPS",
+    "train_dist_reference",
+]
 
 
 def _blend(new: Tensor, old: Tensor, mask_t: np.ndarray | None) -> Tensor:
@@ -87,3 +110,42 @@ REFERENCE_OPS = {
     "lstm_scan_fused": lstm_scan,
     "gru_scan_fused": gru_scan,
 }
+
+
+def train_dist_reference(
+    model, requests, catalog, population, histories, config, world_size: int
+) -> list[float]:
+    """Train ``model`` in place as a ``world_size`` fleet would.
+
+    Returns the per-epoch loss curve.
+    """
+    shards = shard_requests(requests, world_size)
+    optimizer = nn.Adam(
+        model.parameters(), lr=config.lr, weight_decay=config.weight_decay
+    )
+    model.train()
+    steps = _steps_per_epoch(shards, config.batch_size)
+    losses = []
+    for epoch in range(config.epochs):
+        batches = [
+            _rank_batches(shard, catalog, population, histories, config, epoch, rank)
+            for rank, shard in enumerate(shards)
+        ]
+        step_losses = []
+        for step in range(steps):
+            contribs = []
+            for rank in range(world_size):
+                loss, count = backward_batch(
+                    model,
+                    optimizer,
+                    batches[rank][step],
+                    _step_rng(config.seed, epoch, step, rank),
+                )
+                contribs.append(
+                    (rank, _collect_grads(model), float(loss.item()), count)
+                )
+            averaged, step_loss = average_contributions(contribs)
+            apply_step(model, optimizer, config.grad_clip, grads=averaged)
+            step_losses.append(step_loss)
+        losses.append(float(np.mean(step_losses)))
+    return losses

@@ -27,6 +27,7 @@ from repro.data import RankingRequest
 from repro.dist import DistTrainConfig, RestartPolicy, train_dist
 from repro.obs import MemorySink, RunLogger, get_registry, set_run_logger
 from repro.resilience import FaultSpec, chaos
+from repro.testing.reference import train_dist_reference
 
 pytestmark = [pytest.mark.dist, pytest.mark.slow]
 
@@ -73,7 +74,7 @@ def _train(training_setup, dist):
 def baseline(training_setup):
     """The uninterrupted multi-worker run every chaos run must reproduce."""
     model, result = _train(
-        training_setup, DistTrainConfig(world_size=2, backend="process")
+        training_setup, DistTrainConfig(world_size=2)
     )
     return [p.data.copy() for p in model.parameters()], result.losses
 
@@ -99,7 +100,7 @@ class TestKillRejoin:
         )
         model, result = _train(
             training_setup,
-            DistTrainConfig(world_size=2, backend="process", worker_chaos=worker_chaos),
+            DistTrainConfig(world_size=2, worker_chaos=worker_chaos),
         )
         assert result.restarts == 2
         assert result.degraded == []
@@ -109,22 +110,30 @@ class TestKillRejoin:
     def test_chaos_curve_within_1e9_of_single_process(
         self, training_setup, baseline
     ):
-        """The killed run also sits on the single-process (inline) curve."""
+        """The killed run also sits on the single-process reference curve."""
         _, reference_losses = baseline
-        inline_model, inline = _train(
-            training_setup, DistTrainConfig(world_size=2, backend="inline")
+        world, histories, requests, rapid_config = training_setup
+        single_model = make_rapid_variant("rapid-det", rapid_config)
+        single_losses = train_dist_reference(
+            single_model,
+            requests,
+            world.catalog,
+            world.population,
+            histories,
+            TrainConfig(epochs=2, batch_size=4, seed=0),
+            2,
         )
-        assert np.allclose(inline.losses, reference_losses, rtol=0.0, atol=1e-9)
+        assert np.allclose(single_losses, reference_losses, rtol=0.0, atol=1e-9)
         worker_chaos = (
             (0, FaultSpec("dist.worker.step", kind="kill", after=1, times=1)),
         )
         model, result = _train(
             training_setup,
-            DistTrainConfig(world_size=2, backend="process", worker_chaos=worker_chaos),
+            DistTrainConfig(world_size=2, worker_chaos=worker_chaos),
         )
-        assert np.allclose(result.losses, inline.losses, rtol=0.0, atol=1e-9)
+        assert np.allclose(result.losses, single_losses, rtol=0.0, atol=1e-9)
         assert _params_match(
-            [p.data for p in inline_model.parameters()], model, atol=1e-9
+            [p.data for p in single_model.parameters()], model, atol=1e-9
         )
 
 
@@ -138,7 +147,7 @@ class TestAccounting:
             FaultSpec("dist.worker.step", kind="kill", after=1, times=2)
         ) as plan:
             model, result = _train(
-                training_setup, DistTrainConfig(world_size=2, backend="process")
+                training_setup, DistTrainConfig(world_size=2)
             )
             fires = plan.fires("dist.worker.step")
         assert fires == 2
@@ -161,7 +170,6 @@ class TestDegradation:
                 training_setup,
                 DistTrainConfig(
                     world_size=2,
-                    backend="process",
                     worker_chaos=worker_chaos,
                     restart=RestartPolicy(max_restarts=0),
                 ),
@@ -182,7 +190,7 @@ class TestDegradation:
 
     def test_fleet_spans_cover_workers_and_parent(self, training_setup):
         _, result = _train(
-            training_setup, DistTrainConfig(world_size=2, backend="process")
+            training_setup, DistTrainConfig(world_size=2)
         )
         names = {record["name"] for record in result.span_records}
         assert "dist.train" in names

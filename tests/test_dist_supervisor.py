@@ -1,7 +1,7 @@
 """Supervisor tests: sans-io state machine, then the real worker pool.
 
-The :class:`SupervisorCore` suite runs on a :class:`ManualClock` — no
-sleeps, no subprocesses — and pins the liveness/budget/backoff contract.
+The :class:`SupervisorCore` suite runs with no sleeps and no
+subprocesses and pins the restart-budget/backoff contract.
 The :class:`WorkerPool` suite spawns real (tiny) worker processes and
 proves the requeue/restart/degrade paths under parent-side chaos, where
 ``plan.fires()`` is auditable against the retry and restart counters.
@@ -21,32 +21,24 @@ from repro.dist.supervisor import picklable_error
 from repro.obs import MemorySink, RunLogger, get_registry, set_run_logger
 from repro.resilience import (
     FaultSpec,
-    InjectedFault,
     RetryBudgetExceeded,
     RetryPolicy,
     chaos,
 )
-from repro.serve.clock import ManualClock
 
 pytestmark = pytest.mark.dist
 
 NO_SLEEP = lambda seconds: None  # noqa: E731 - dist tests never really wait
 
 
-def _core(world_size=2, clock=None, **policy_kwargs):
-    clock = clock if clock is not None else ManualClock()
-    return (
-        SupervisorCore(world_size, RestartPolicy(**policy_kwargs), clock),
-        clock,
-    )
+def _core(world_size=2, **policy_kwargs):
+    return SupervisorCore(world_size, RestartPolicy(**policy_kwargs))
 
 
 class TestRestartPolicy:
     def test_validation(self):
         with pytest.raises(ValueError):
             RestartPolicy(max_restarts=-1)
-        with pytest.raises(ValueError):
-            RestartPolicy(heartbeat_timeout_s=0.0)
 
     def test_defaults_reuse_retry_machinery(self):
         policy = RestartPolicy()
@@ -60,27 +52,8 @@ class TestSupervisorCore:
         with pytest.raises(ValueError):
             SupervisorCore(0)
 
-    def test_overdue_tracks_heartbeats_on_manual_clock(self):
-        core, clock = _core(world_size=3, heartbeat_timeout_s=10.0)
-        assert core.overdue() == []
-        clock.advance(9.0)
-        core.beat(1)
-        clock.advance(2.0)  # ranks 0/2 are now 11s stale, rank 1 only 2s
-        assert core.overdue() == [0, 2]
-        core.beat(0)
-        core.beat(2)
-        assert core.overdue() == []
-
-    def test_heartbeat_faultpoint_drops_the_beat(self):
-        core, clock = _core(heartbeat_timeout_s=5.0)
-        clock.advance(6.0)
-        with chaos(FaultSpec("dist.heartbeat", times=1)):
-            assert core.beat(0) is False  # lossy channel: beat swallowed
-            assert core.beat(0) is True
-        assert core.overdue() == [1]  # rank 0 recovered on the second beat
-
     def test_restart_then_degrade_budget(self):
-        core, _ = _core(max_restarts=1)
+        core = _core(max_restarts=1)
         first = core.on_death(0)
         assert first.action == "restart"
         assert core.restarts[0] == 1 and 0 in core.live
@@ -95,7 +68,7 @@ class TestSupervisorCore:
         sink = MemorySink()
         previous = set_run_logger(RunLogger(sink))
         try:
-            core, _ = _core(max_restarts=0)
+            core = _core(max_restarts=0)
             assert core.on_death(1).action == "degrade"
         finally:
             set_run_logger(previous)
@@ -106,7 +79,7 @@ class TestSupervisorCore:
 
     def test_backoff_envelope_is_decorrelated_jitter(self):
         base, cap = 0.01, 0.5
-        core, _ = _core(
+        core = _core(
             world_size=1, max_restarts=50, base_delay=base, max_delay=cap
         )
         previous = base
@@ -116,13 +89,6 @@ class TestSupervisorCore:
             assert base <= decision.delay <= cap
             assert decision.delay <= max(cap, 3.0 * previous)
             previous = decision.delay
-
-    def test_restart_grants_fresh_grace_period(self):
-        core, clock = _core(heartbeat_timeout_s=5.0, max_restarts=3)
-        clock.advance(100.0)
-        assert core.overdue() == [0, 1]
-        core.on_death(0)  # restart stamps a fresh beat at t=100
-        assert core.overdue() == [1]
 
 
 class TestPicklableError:
@@ -161,7 +127,6 @@ def _pool(num_workers=2, **policy_kwargs):
         policy=RestartPolicy(base_delay=0.0, max_delay=0.0, **policy_kwargs),
         site="dist.task",
         sleep=NO_SLEEP,
-        poll_s=0.01,
     )
 
 

@@ -1,8 +1,10 @@
-"""Data-parallel trainer tests: sharding, averaging math, backend parity.
+"""Data-parallel trainer tests: sharding, averaging math, reference parity.
 
 The expensive multi-process runs live in ``test_dist_chaos.py`` (the
 kill matrix); this file pins the deterministic building blocks plus the
-headline backend-parity and resume guarantees.
+headline guarantees: the process fleet equals the single-process
+reference bit for bit, and it resumes from per-rank checkpoints bit for
+bit.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from repro.data.batching import build_batch
 from repro.dist import DistError, DistTrainConfig, train_dist
 from repro.dist.train import average_contributions, shard_requests
 from repro.resilience import FaultSpec
-from repro.resilience.checkpoint import CheckpointConfig
+from repro.resilience.checkpoint import CheckpointConfig, CheckpointManager
+from repro.testing.reference import train_dist_reference
 
 pytestmark = pytest.mark.dist
 
@@ -59,6 +62,21 @@ def _train(training_setup, dist, epochs=2):
         dist=dist,
     )
     return model, result
+
+
+def _reference(training_setup, world_size, epochs=2):
+    world, histories, requests, rapid_config = training_setup
+    model = make_rapid_variant("rapid-det", rapid_config)
+    losses = train_dist_reference(
+        model,
+        requests,
+        world.catalog,
+        world.population,
+        histories,
+        TrainConfig(epochs=epochs, batch_size=4, seed=0),
+        world_size,
+    )
+    return model, losses
 
 
 def _params_equal(a, b) -> bool:
@@ -146,8 +164,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             DistTrainConfig(world_size=0)
         with pytest.raises(ValueError):
-            DistTrainConfig(backend="mpi")
-        with pytest.raises(ValueError):
             DistTrainConfig(
                 world_size=2,
                 worker_chaos=((5, FaultSpec("dist.worker.step", kind="kill")),),
@@ -157,28 +173,22 @@ class TestConfig:
 class TestBackendParity:
     @pytest.mark.slow
     def test_process_equals_inline_bitwise(self, training_setup):
-        inline_model, inline = _train(
-            training_setup, DistTrainConfig(world_size=2, backend="inline")
-        )
+        reference_model, reference_losses = _reference(training_setup, 2)
         process_model, process = _train(
-            training_setup, DistTrainConfig(world_size=2, backend="process")
+            training_setup, DistTrainConfig(world_size=2)
         )
-        assert inline.losses == process.losses
-        assert _params_equal(inline_model, process_model)
+        assert reference_losses == process.losses
+        assert _params_equal(reference_model, process_model)
         assert process.restarts == 0 and process.degraded == []
 
     def test_inline_world_sizes_differ_but_converge(self, training_setup):
         # different W = different effective batch composition: not equal,
         # but both are real training runs on the same data
-        _, w1 = _train(
-            training_setup, DistTrainConfig(world_size=1, backend="inline")
-        )
-        _, w2 = _train(
-            training_setup, DistTrainConfig(world_size=2, backend="inline")
-        )
-        assert len(w1.losses) == len(w2.losses) == 2
-        assert w1.losses[-1] < w1.losses[0]
-        assert w2.losses[-1] < w2.losses[0]
+        _, w1 = _reference(training_setup, 1)
+        _, w2 = _reference(training_setup, 2)
+        assert len(w1) == len(w2) == 2
+        assert w1[-1] < w1[0]
+        assert w2[-1] < w2[0]
 
 
 class TestCheckpointResume:
@@ -186,20 +196,17 @@ class TestCheckpointResume:
         def dist():
             return DistTrainConfig(
                 world_size=2,
-                backend="inline",
                 checkpoint=CheckpointConfig(directory=tmp_path, fsync=False),
             )
 
         full_model, full = _train(
-            training_setup, DistTrainConfig(world_size=2, backend="inline"), epochs=4
+            training_setup, DistTrainConfig(world_size=2), epochs=4
         )
         _train(training_setup, dist(), epochs=2)  # "killed" after epoch 2
         resumed_model, resumed = _train(training_setup, dist(), epochs=4)
         assert resumed.losses == full.losses
         assert _params_equal(full_model, resumed_model)
         # per-rank directories with per-worker identity in `extra`
-        from repro.resilience.checkpoint import CheckpointManager
-
         for rank in range(2):
             manager = CheckpointManager(
                 CheckpointConfig(directory=tmp_path / f"rank{rank:03d}")

@@ -538,6 +538,21 @@ class TestProfilerIntegration:
         assert stats["lstm_cell_fused"]["forward_calls"] == 1
         assert stats["lstm_cell_fused"]["backward_calls"] > 0
 
+    def test_infer_scan_is_profiled_once(self):
+        from repro.obs.autograd import op_stats, profile_ops
+
+        bilstm = nn.BiLSTM(6, 8, rng=np.random.default_rng(0))
+        x = np.random.default_rng(1).normal(size=(16, 50, 6))
+        with profile_ops():
+            for _ in range(20):
+                bilstm.infer(x)
+            scans = [
+                (row["op"], row["forward_calls"])
+                for row in op_stats()
+                if "scan" in row["op"]
+            ]
+        assert scans == [("bilstm_scan", 20)]
+
     def test_report_renders_fused_share_line(self):
         from repro.obs.report import render_report
 

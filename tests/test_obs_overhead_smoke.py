@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.nn import inference
+from repro.obs.autograd import is_op_profiler_enabled
 from repro.obs.profiler import get_profiler
 
 _BENCH_DIR = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -36,8 +36,10 @@ def bench():
 
 
 def test_cycle_obs_leaves_everything_off(bench):
+    before = bench.raw_ops()
     bench._cycle_obs()
-    assert inference._PROFILE_HOOK is None
+    assert not is_op_profiler_enabled()
+    assert bench.raw_ops() == before
     profiler = get_profiler()
     assert profiler is None or not profiler.running
 
@@ -45,6 +47,7 @@ def test_cycle_obs_leaves_everything_off(bench):
 @pytest.mark.bench
 @pytest.mark.slow
 def test_measure_reports_structure_and_restores_state(bench, monkeypatch, tmp_path):
+    before = bench.raw_ops()
     result = bench.measure()
     assert set(result) == {
         "train_baseline_ms_per_batch",
@@ -64,7 +67,8 @@ def test_measure_reports_structure_and_restores_state(bench, monkeypatch, tmp_pa
     assert np.isfinite(result["rerank_disabled_overhead_fraction"])
     assert np.isfinite(result["infer_disabled_overhead_fraction"])
     # The bench must leave every opt-in surface off for the rest of the suite.
-    assert inference._PROFILE_HOOK is None
+    assert not is_op_profiler_enabled()
+    assert bench.raw_ops() == before
 
 
 def test_budget_constant_is_five_percent(bench):
