@@ -14,9 +14,13 @@ class ClickModel(Protocol):
     """A user-behavior model that can simulate and score ranked lists."""
 
     def attraction_probabilities(
-        self, user_id: int, items: np.ndarray
+        self, user_id: int | np.ndarray, items: np.ndarray
     ) -> np.ndarray:
-        """Per-position attraction probabilities for the ordered list."""
+        """Per-position attraction probabilities of ordered lists.
+
+        One user with an (L,) list gives (L,); (N,) users with (N, L)
+        lists give (N, L).
+        """
 
     def termination_probabilities(self, length: int) -> np.ndarray:
         """Per-position satisfied-termination probabilities."""

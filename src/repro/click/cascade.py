@@ -88,7 +88,10 @@ class PositionBasedModel:
         self.tradeoff = tradeoff
         self.examination_decay = examination_decay
 
-    def attraction_probabilities(self, user_id: int, items: np.ndarray) -> np.ndarray:
+    def attraction_probabilities(
+        self, user_id: int | np.ndarray, items: np.ndarray
+    ) -> np.ndarray:
+        """The DCM's attraction; broadcasts over (N,) users and (N, L) lists."""
         return self._dcm.attraction_probabilities(user_id, items)
 
     def examination_probabilities(self, length: int) -> np.ndarray:

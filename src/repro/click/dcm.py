@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.coverage import incremental_coverage
 from ..data.synthetic import SyntheticWorld
 from ..utils.rng import make_rng
 from ..utils.validation import check_in_range
@@ -33,58 +34,46 @@ __all__ = [
     "DependentClickModel",
     "coverage_gain",
     "expected_clicks_curve",
+    "expected_clicks_per_position",
     "satisfaction_probability",
     "fit_dcm",
     "FittedDCM",
 ]
 
 
-def coverage_gain(coverage: np.ndarray) -> np.ndarray:
-    """Per-position incremental topic coverage ``zeta``.
-
-    Parameters
-    ----------
-    coverage:
-        (L, m) topic coverage of the ordered list.
-
-    Returns
-    -------
-    (L, m): ``zeta[k, j] = tau[k, j] * prod_{i<k}(1 - tau[i, j])``, i.e. the
-    probability that item ``k`` is the first to cover topic ``j``.
-    """
-    coverage = np.asarray(coverage, dtype=np.float64)
-    remaining = np.ones(coverage.shape[1])
-    zeta = np.empty_like(coverage)
-    for position in range(len(coverage)):
-        zeta[position] = coverage[position] * remaining
-        remaining = remaining * (1.0 - coverage[position])
-    return zeta
+#: Per-position incremental topic coverage ``zeta`` of an ordered list:
+#: ``zeta[k, j] = tau[k, j] * prod_{i<k}(1 - tau[i, j])``, the probability
+#: that item ``k`` is the first to cover topic ``j``.
+coverage_gain = incremental_coverage
 
 
-def expected_clicks_curve(phi: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    """Cumulative expected clicks after each position under the DCM.
+def expected_clicks_per_position(phi: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """Expected click at each position under the DCM, over ``(..., L)``.
 
     The user continues past position ``k`` with probability
     ``1 - phi_k * eps_k``; the expected click at position ``k`` is the
-    examination probability times ``phi_k``.
+    examination probability ``prod_{i<k}(1 - phi_i * eps_i)`` times
+    ``phi_k``.  ``eps`` may be longer than the lists (it is cut to L).
     """
     phi = np.asarray(phi, dtype=np.float64)
-    eps = np.asarray(eps, dtype=np.float64)
-    examine = 1.0
-    cumulative = np.empty(len(phi))
-    total = 0.0
-    for k in range(len(phi)):
-        total += examine * phi[k]
-        cumulative[k] = total
-        examine *= 1.0 - phi[k] * eps[k]
-    return cumulative
+    eps = np.asarray(eps, dtype=np.float64)[..., : phi.shape[-1]]
+    survive = np.cumprod(1.0 - phi * eps, axis=-1)
+    examine = np.concatenate(
+        [np.ones_like(phi[..., :1]), survive[..., :-1]], axis=-1
+    )
+    return examine * phi
+
+
+def expected_clicks_curve(phi: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """Cumulative expected clicks after each position under the DCM."""
+    return np.cumsum(expected_clicks_per_position(phi, eps), axis=-1)
 
 
 def satisfaction_probability(phi: np.ndarray, eps: np.ndarray) -> np.ndarray:
     """Cumulative satisfaction ``1 - prod_{i<=k}(1 - eps_i * phi_i)``."""
     phi = np.asarray(phi, dtype=np.float64)
     eps = np.asarray(eps, dtype=np.float64)
-    survive = np.cumprod(1.0 - eps[: len(phi)] * phi)
+    survive = np.cumprod(1.0 - eps[..., : phi.shape[-1]] * phi, axis=-1)
     return 1.0 - survive
 
 
@@ -122,13 +111,19 @@ class DependentClickModel:
         self.termination_decay = termination_decay
 
     # ------------------------------------------------------------------
-    def attraction_probabilities(self, user_id: int, items: np.ndarray) -> np.ndarray:
-        """phi(v_k) for the ordered list (paper Sec. IV-B1 blend)."""
+    def attraction_probabilities(
+        self, user_id: int | np.ndarray, items: np.ndarray
+    ) -> np.ndarray:
+        """phi(v_k) for ordered lists (paper Sec. IV-B1 blend).
+
+        Takes one user with an (L,) list, or (N,) users with (N, L) lists.
+        """
         items = np.asarray(items, dtype=np.int64)
-        alpha = self.world.relevance_matrix()[user_id, items]
-        zeta = coverage_gain(self.world.catalog.coverage[items])
-        rho = self.world.population.diversity_weight[user_id]
-        diversity = zeta @ rho
+        users = np.asarray(user_id, dtype=np.int64)
+        alpha = self.world.relevance_matrix()[users[..., None], items]
+        zeta = incremental_coverage(self.world.catalog.coverage[items])
+        rho = self.world.population.diversity_weight[users]
+        diversity = (zeta @ rho[..., None])[..., 0]
         phi = self.tradeoff * alpha + (1.0 - self.tradeoff) * diversity
         return np.clip(phi, 0.0, 1.0)
 

@@ -93,12 +93,51 @@ def normalized_initial_scores(batch: RerankBatch) -> np.ndarray:
     return np.where(batch.mask, normalized, 0.0)
 
 
+#: Coverage at which a history item also joins a non-dominant topic.
+MEMBERSHIP_THRESHOLD = 0.25
+
+
+def _topic_slots(
+    history_ids: np.ndarray,
+    history_valid: np.ndarray,
+    coverage: np.ndarray,
+    num_topics: int,
+    max_length: int,
+    membership_threshold: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-topic split of a batch of histories (Sec. III-C).
+
+    ``history_ids`` (B, W) holds each row's history **most recent first**
+    in the columns ``history_valid`` marks, from column 0; W >= 1.  An
+    entry joins topic ``j``'s sequence if its coverage of ``j`` is at least
+    ``membership_threshold`` or ``j`` is its dominant topic.  A member's
+    count (its row's members of that topic at or after it in time) keeps
+    the most recent ``max_length`` of each sequence and gives each kept
+    member its time-ordered slot.
+
+    Returns ``(row, column, topic, slot)``: ``history_ids[row, column]``
+    fills ``slot`` of that row's topic-``topic`` sequence.
+    """
+    item_cov = coverage.take(history_ids.reshape(-1), axis=0)  # (B * W, M)
+    member = item_cov >= membership_threshold
+    member[np.arange(len(item_cov)), item_cov.argmax(axis=1)] = True
+    member &= history_valid.reshape(-1, 1)
+    member = member.reshape(history_ids.shape + (-1,))[..., :num_topics]
+    count = np.add.accumulate(member, axis=1, dtype=np.int64)
+    # A row's last count is its number of members: the kept ones take
+    # slots 0 .. min(members, max_length) - 1, oldest first; others < 0.
+    slots = np.minimum(count[:, -1:], max_length) - count
+    keep = member & (slots >= 0)
+    row, column, topic = keep.nonzero()
+    return row, column, topic, slots[keep]
+
+
 def split_history_by_topic(
     history: np.ndarray,
     coverage: np.ndarray,
     num_topics: int,
     max_length: int,
-    membership_threshold: float = 0.25,
+    membership_threshold: float = MEMBERSHIP_THRESHOLD,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Split a flat behavior history into per-topic sequences (Sec. III-C).
 
@@ -106,20 +145,24 @@ def split_history_by_topic(
     least ``membership_threshold`` or ``j`` is its dominant topic.  Each
     sequence keeps the **most recent** ``max_length`` items, preserving time
     order.  Returns ``(ids (m, D), mask (m, D))`` with -1 padding ids.
+    This is the one-row case of the split :func:`build_batch` runs.
     """
     history = np.asarray(history, dtype=np.int64)
     ids = np.full((num_topics, max_length), -1, dtype=np.int64)
     mask = np.zeros((num_topics, max_length), dtype=bool)
-    if history.size == 0:
-        return ids, mask
-    item_cov = coverage[history]  # (H, m)
-    dominant = item_cov.argmax(axis=1)
-    for topic in range(num_topics):
-        member = (item_cov[:, topic] >= membership_threshold) | (dominant == topic)
-        topical = history[member][-max_length:]
-        if topical.size:
-            ids[topic, : len(topical)] = topical
-            mask[topic, : len(topical)] = True
+    valid = np.arange(max(len(history), 1)) < len(history)
+    newest_first = np.zeros(valid.shape, dtype=np.int64)
+    newest_first[valid] = history[::-1]
+    _, column, topic, slot = _topic_slots(
+        newest_first[None],
+        valid[None],
+        coverage,
+        num_topics,
+        max_length,
+        membership_threshold,
+    )
+    ids[topic, slot] = newest_first[column]
+    mask[topic, slot] = True
     return ids, mask
 
 
@@ -134,72 +177,105 @@ def build_batch(
     """Assemble a :class:`RerankBatch` from raw requests.
 
     Lists may have different lengths; shorter lists are zero-padded and
-    masked.  Histories are truncated to the most recent entries.
+    masked.  Histories are truncated to the most recent entries.  Every
+    array is filled by whole-batch gathers, with no loop over rows; both
+    history views come from one (B, W) array of the users' histories.
     """
     if not requests:
         raise ValueError("cannot build a batch from zero requests")
     batch = len(requests)
-    length = max(r.list_length for r in requests)
-    num_topics = catalog.num_topics
-    q_v = catalog.feature_dim
+    features = catalog.features
+    users, lengths, items, scores, click_rows, click_thresholds = zip(
+        *[
+            (
+                r.user_id,
+                r.list_length,
+                r.items,
+                r.initial_scores,
+                r.clicks,
+                np.inf if r.fully_observed or r.clicks is None else 0.5,
+            )
+            for r in requests
+        ]
+    )
+    user_ids = np.array(users, dtype=np.int64)
+    sizes, newest_first, recent = zip(
+        *[
+            (len(h), h[::-1], h[-flat_history_length:])
+            for h in [np.asarray(histories[u], dtype=np.int64) for u in users]
+        ]
+    )
+    # One comparison marks the valid list positions (rows 0 .. B-1) and
+    # the valid history columns (rows B .. 2B-1); W >= flat_history_length.
+    length = max(lengths)
+    width = max(max(sizes), flat_history_length, 1)
+    valid = np.greater.outer(np.array(lengths + sizes), np.arange(max(length, width)))
+    mask = valid[:batch, :length].copy()  # contiguous: it drives the scatters
+    history_valid = valid[batch:, :width]
 
-    user_ids = np.array([r.user_id for r in requests], dtype=np.int64)
-    item_ids = np.zeros((batch, length), dtype=np.int64)
-    item_features = np.zeros((batch, length, q_v))
-    coverage = np.zeros((batch, length, num_topics))
-    initial_scores = np.zeros((batch, length))
-    clicks = np.zeros((batch, length))
-    mask = np.zeros((batch, length), dtype=bool)
-    observed = np.zeros((batch, length), dtype=bool)
-    bids = np.zeros((batch, length)) if catalog.bids is not None else None
-
-    hist_features = np.zeros((batch, flat_history_length, q_v))
-    hist_mask = np.zeros((batch, flat_history_length), dtype=bool)
-    topic_features = np.zeros((batch, num_topics, topic_history_length, q_v))
-    topic_mask = np.zeros((batch, num_topics, topic_history_length), dtype=bool)
-
-    for row, request in enumerate(requests):
-        n = request.list_length
-        item_ids[row, :n] = request.items
-        item_features[row, :n] = catalog.features[request.items]
-        coverage[row, :n] = catalog.coverage[request.items]
-        initial_scores[row, :n] = request.initial_scores
-        if request.clicks is not None:
-            clicks[row, :n] = request.clicks
-        mask[row, :n] = True
-        # DCM observation prefix: with no click, the user examined every
-        # position; with clicks, positions after the last click may not
-        # have been examined (the session may have terminated there), so
-        # their zero labels are censored, not negatives.  Fully-observed
-        # requests (simulator-logged attraction outcomes) carry no
-        # censoring at all.
-        if (
-            not request.fully_observed
-            and request.clicks is not None
-            and request.clicks.max() > 0.5
-        ):
-            last_click = int(np.flatnonzero(request.clicks > 0.5)[-1])
-            observed[row, : last_click + 1] = True
-        else:
-            observed[row, :n] = True
-        if bids is not None:
-            bids[row, :n] = catalog.bids[request.items]
-
-        history = np.asarray(histories[request.user_id], dtype=np.int64)
-        recent = history[-flat_history_length:]
-        if recent.size:
-            hist_features[row, : len(recent)] = catalog.features[recent]
-            hist_mask[row, : len(recent)] = True
-        topic_ids, t_mask = split_history_by_topic(
-            history, catalog.coverage, num_topics, topic_history_length
+    padding = ~mask[..., None]
+    item_ids = np.zeros(mask.shape, dtype=np.int64)
+    item_ids[mask] = np.concatenate(items)
+    initial_scores = np.zeros(mask.shape)
+    initial_scores[mask] = np.concatenate(scores)
+    clicks = np.zeros(mask.shape)
+    if any(row is not None for row in click_rows):
+        clicks[mask] = np.concatenate(
+            [
+                np.zeros(n) if row is None else row
+                for n, row in zip(lengths, click_rows)
+            ]
         )
-        valid = topic_ids >= 0
-        topic_features[row][valid] = catalog.features[topic_ids[valid]]
-        topic_mask[row] = t_mask
+    item_features = features.take(item_ids, axis=0)
+    np.copyto(item_features, 0.0, where=padding)
+    coverage = catalog.coverage.take(item_ids, axis=0)
+    np.copyto(coverage, 0.0, where=padding)
+    bids = None
+    if catalog.bids is not None:
+        bids = catalog.bids.take(item_ids)
+        np.copyto(bids, 0.0, where=padding[..., 0])
+
+    # DCM observation prefix: with no click, the user examined every
+    # position; with clicks, positions after the last click may not have
+    # been examined (the session may have terminated there), so their zero
+    # labels are censored, not negatives.  Fully-observed requests
+    # (simulator-logged attraction outcomes) and requests without clicks
+    # carry no censoring: their threshold is infinite, so they count no
+    # click, and a batch of only such requests skips the work (RerankBatch
+    # then observes every valid position).  ``seen`` marks the positions
+    # at or before a row's last counted click.
+    observed = None
+    if min(click_thresholds) < np.inf:
+        counted = clicks > np.array(click_thresholds)[:, None]
+        seen = np.logical_or.accumulate(counted[:, ::-1], axis=1)[:, ::-1]
+        observed = np.where(seen[:, :1], seen, mask)
+
+    # Histories as (B, W) rows, most recent entry first.
+    history_ids = np.zeros(history_valid.shape, dtype=np.int64)
+    history_ids[history_valid] = np.concatenate(newest_first)
+
+    # Flat view: the most recent ``flat_history_length`` entries, in order.
+    hist_mask = history_valid[:, :flat_history_length]
+    hist_features = np.zeros(hist_mask.shape + (features.shape[1],))
+    hist_features[hist_mask] = features.take(np.concatenate(recent), axis=0)
+
+    topic_shape = (batch, catalog.num_topics, topic_history_length)
+    topic_features = np.zeros(topic_shape + (features.shape[1],))
+    topic_mask = np.zeros(topic_shape, dtype=bool)
+    row, column, topic, slot = _topic_slots(
+        history_ids,
+        history_valid,
+        catalog.coverage,
+        catalog.num_topics,
+        topic_history_length,
+        MEMBERSHIP_THRESHOLD,
+    )
+    topic_features[row, topic, slot] = features.take(history_ids[row, column], axis=0)
+    topic_mask[row, topic, slot] = True
 
     return RerankBatch(
         user_ids=user_ids,
-        user_features=population.features[user_ids],
+        user_features=population.features.take(user_ids, axis=0),
         item_ids=item_ids,
         item_features=item_features,
         coverage=coverage,

@@ -21,10 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..click.dcm import (
-    DependentClickModel,
-    expected_clicks_curve,
-)
+from ..click.dcm import DependentClickModel, expected_clicks_per_position
 from ..core import RapidConfig, RapidReranker
 from ..data import (
     RankingRequest,
@@ -235,6 +232,9 @@ def evaluate_reranker(
     expected clicks / satisfaction (deterministic, unbiased); ``logged``
     mode replays the clicks logged on the initial list (the App Store
     protocol) — a clicked item counts wherever the re-ranker places it.
+    The pass is scored as one (N, L) array of re-ranked lists with a list
+    mask: one ``attraction_probabilities`` call for all N lists, and one
+    call per metric and k.
 
     Telemetry: re-ranking runs inside an ``eval.rerank`` span (with a
     child span per batch pass — ``rerank()`` itself also feeds the
@@ -256,7 +256,14 @@ def evaluate_reranker(
 
     faultpoint("eval.rerank")
     with trace("eval.rerank"):
-        permutations: list[np.ndarray] = []
+        # The pass's re-ranked lists as one (N, L) item array with a list
+        # mask.  Re-rankers order a list's padding after its items, so the
+        # positions past a list's end gather padding: item 0, no click.
+        lengths = np.array([r.list_length for r in requests], dtype=np.int64)
+        mask = np.arange(lengths.max(initial=0)) < lengths[:, None]
+        user_ids = np.zeros(len(requests), dtype=np.int64)
+        items = np.zeros(mask.shape, dtype=np.int64)
+        logged_clicks = np.zeros(mask.shape)
         rerank_seconds = 0.0
         for start in range(0, len(requests), eval_batch_size):
             chunk = requests[start : start + eval_batch_size]
@@ -277,53 +284,43 @@ def evaluate_reranker(
             rerank_seconds += span.duration_s
             batch_hist.observe(span.duration_ms)
             lists_counter.inc(len(chunk))
-            permutations.extend(perm[row] for row in range(len(chunk)))
+            rows = slice(start, start + len(chunk))
+            perm = np.asarray(perm, dtype=np.int64)
+            user_ids[rows] = batch.user_ids
+            items[rows, : batch.list_length] = np.take_along_axis(
+                batch.item_ids, perm, axis=1
+            )
+            logged_clicks[rows, : batch.list_length] = np.take_along_axis(
+                batch.clicks, perm, axis=1
+            )
 
     faultpoint("eval.metrics")
     with trace("eval.metrics"):
-        click_rows: list[np.ndarray] = []
-        coverage_rows: list[np.ndarray] = []
-        attraction_rows: list[np.ndarray] = []
-        bid_rows: list[np.ndarray] = []
-        for request, perm in zip(requests, permutations):
-            order = perm[: request.list_length]
-            items = request.items[order]
-            coverage_rows.append(catalog.coverage[items])
-            if catalog.bids is not None:
-                bid_rows.append(catalog.bids[items])
-            phi = bundle.click_model.attraction_probabilities(
-                request.user_id, items
-            )
-            eps = bundle.click_model.termination_probabilities(len(items))
-            attraction_rows.append(phi)
-            if config.eval_mode == "expected":
-                examine = np.concatenate(
-                    [[1.0], np.cumprod(1.0 - phi * eps)[:-1]]
-                )
-                click_rows.append(examine * phi)
-            else:
-                click_rows.append(request.clicks[order])
-
+        click_model = bundle.click_model
+        attraction = np.where(
+            mask, click_model.attraction_probabilities(user_ids, items), 0.0
+        )
+        termination = click_model.termination_probabilities(mask.shape[1])
+        coverage = np.where(mask[..., None], catalog.coverage[items], 0.0)
         # NDCG relevance labels: attraction probabilities in expected mode
         # (position-unconfounded), realized clicks in logged mode.
-        ndcg_rows = (
-            attraction_rows if config.eval_mode == "expected" else click_rows
-        )
+        if config.eval_mode == "expected":
+            clicks = expected_clicks_per_position(attraction, termination)
+            relevance = attraction
+        else:
+            clicks = relevance = logged_clicks
+        # Padding carries no click, so its bid adds no revenue.
+        bids = catalog.bids[items] if catalog.bids is not None else None
         metrics: dict[str, float] = {}
-        termination = bundle.click_model.termination_probabilities(
-            config.list_length
-        )
         for k in ks:
-            metrics[f"click@{k}"] = clicks_at_k(click_rows, k)
-            metrics[f"ndcg@{k}"] = ndcg_at_k(ndcg_rows, k)
-            metrics[f"div@{k}"] = div_at_k(coverage_rows, k)
-            metrics[f"satis@{k}"] = satis_at_k(attraction_rows, termination, k)
-            if bid_rows:
-                metrics[f"rev@{k}"] = revenue_at_k(click_rows, bid_rows, k)
+            metrics[f"click@{k}"] = clicks_at_k(clicks, k)
+            metrics[f"ndcg@{k}"] = ndcg_at_k(relevance, k)
+            metrics[f"div@{k}"] = div_at_k(coverage, k)
+            metrics[f"satis@{k}"] = satis_at_k(attraction, termination, k)
+            if bids is not None:
+                metrics[f"rev@{k}"] = revenue_at_k(clicks, bids, k)
 
-        per_request = {
-            k: np.asarray([row[:k].sum() for row in click_rows]) for k in ks
-        }
+        per_request = {k: clicks[:, :k].sum(axis=1) for k in ks}
 
     rerank_ms_per_list = (
         1000.0 * rerank_seconds / len(requests) if requests else 0.0

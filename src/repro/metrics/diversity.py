@@ -10,6 +10,9 @@ from typing import Sequence
 
 import numpy as np
 
+from ..core.coverage import probabilistic_coverage
+from .utility import padded_rows
+
 __all__ = ["topic_coverage", "div_at_k"]
 
 
@@ -28,12 +31,16 @@ def topic_coverage(coverage: np.ndarray) -> np.ndarray:
     coverage = np.asarray(coverage, dtype=np.float64)
     if coverage.ndim != 2:
         raise ValueError("coverage must be (items, topics)")
-    return 1.0 - np.prod(1.0 - coverage, axis=0)
+    return probabilistic_coverage(coverage)
 
 
-def div_at_k(list_coverages: Sequence[np.ndarray], k: int) -> float:
-    """Mean summed topic coverage of the top-k of each re-ranked list."""
+def div_at_k(list_coverages: Sequence[np.ndarray] | np.ndarray, k: int) -> float:
+    """Mean summed topic coverage of the top-k of each re-ranked list.
+
+    ``list_coverages`` is an (N, L, m) array, zero-padded past each list's
+    end, or a sequence of (L_i, m) arrays.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    totals = [float(topic_coverage(np.asarray(cov)[:k]).sum()) for cov in list_coverages]
-    return float(np.mean(totals))
+    coverage = padded_rows(list_coverages, ndim=3)
+    return float(probabilistic_coverage(coverage[:, :k]).sum(axis=-1).mean())

@@ -10,11 +10,13 @@ from typing import Sequence
 
 import numpy as np
 
+from .utility import padded_rows
+
 __all__ = ["satis_at_k"]
 
 
 def satis_at_k(
-    attraction: Sequence[np.ndarray],
+    attraction: Sequence[np.ndarray] | np.ndarray,
     termination: Sequence[np.ndarray] | np.ndarray,
     k: int,
 ) -> float:
@@ -23,20 +25,17 @@ def satis_at_k(
     Parameters
     ----------
     attraction:
-        Per-request attraction probabilities ``phi_l(v_i)`` in ranked order.
+        Per-request attraction probabilities ``phi_l(v_i)`` in ranked order:
+        an (N, L) array, zero-padded past each list's end, or a sequence.
     termination:
-        Per-request (or shared) termination probabilities ``eps_l(i)``.
+        Shared (L,) termination probabilities ``eps(i)``, or per-request
+        ``eps_l(i)`` as an (N, L) array or a sequence.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    shared_eps = isinstance(termination, np.ndarray) and np.asarray(
-        termination
-    ).ndim == 1
-    values = []
-    for index, phi in enumerate(attraction):
-        phi = np.asarray(phi, dtype=np.float64)[:k]
-        eps = np.asarray(
-            termination if shared_eps else termination[index], dtype=np.float64
-        )[: len(phi)]
-        values.append(1.0 - float(np.prod(1.0 - eps * phi)))
-    return float(np.mean(values))
+    phi = padded_rows(attraction)[:, :k]
+    if isinstance(termination, np.ndarray) and termination.ndim == 1:
+        eps = np.asarray(termination, dtype=np.float64)[: phi.shape[1]]
+    else:
+        eps = padded_rows(termination)[:, : phi.shape[1]]
+    return float((1.0 - np.prod(1.0 - eps * phi, axis=1)).mean())

@@ -12,9 +12,10 @@ catching such bugs automatically:
   relative-error divergence as a structured diff;
 - :mod:`repro.testing.reference` — the composed-op LSTM/GRU cell and scan
   graphs the fused kernels replace (``repro.nn.kernels.use_fused(False)``
-  installs them under the fused op names for a block), and the
+  installs them under the fused op names for a block), the
   single-process lockstep trainer the ``repro.dist`` fleet must equal
-  bit for bit;
+  bit for bit, and the per-row ``build_batch`` and per-list evaluation
+  that the whole-batch data path must match;
 - :mod:`repro.testing.fuzz` — autograd fuzzer: seeded random programs over
   the Tensor op vocabulary (broadcasting, slicing, reductions, the fused
   recurrent kernels) with greedy shrinking to a minimal reproducing

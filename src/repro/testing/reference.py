@@ -18,6 +18,18 @@ arithmetic of :func:`repro.dist.train_dist` in one process: per-rank
 backwards in rank order, one count-weighted average, one apply.  It has
 no fleet, checkpoint or resume; the dist tests hold the process fleet to
 it bit for bit.
+
+**Batch assembly.**  :func:`build_batch_reference` fills a
+:class:`~repro.data.RerankBatch` one request at a time, and
+:func:`split_history_by_topic_reference` splits one history with a loop
+over topics.  :func:`repro.data.build_batch` does both with whole-batch
+gathers and must match every field bit for bit.
+
+**Evaluation.**  :func:`evaluate_reranker_reference` scores one re-ranked
+list at a time: a DCM call per list and per-list metric formulas.
+:func:`repro.eval.evaluate_reranker` scores the pass as one (N, L) array
+and matches it bitwise when all lists have one length; padding shorter
+lists reorders float sums only.
 """
 
 from __future__ import annotations
@@ -26,6 +38,8 @@ import numpy as np
 
 from .. import nn
 from ..core.trainer import apply_step, backward_batch
+from ..data import RerankBatch
+from ..data.batching import MEMBERSHIP_THRESHOLD
 from ..dist.train import (
     _collect_grads,
     _rank_batches,
@@ -34,8 +48,10 @@ from ..dist.train import (
     average_contributions,
     shard_requests,
 )
+from ..eval.experiment import EvaluationResult
 from ..nn.kernels import zero_state
 from ..nn.tensor import Tensor
+from ..rerank import identity_permutation
 
 __all__ = [
     "lstm_cell",
@@ -44,6 +60,9 @@ __all__ = [
     "gru_scan",
     "REFERENCE_OPS",
     "train_dist_reference",
+    "split_history_by_topic_reference",
+    "build_batch_reference",
+    "evaluate_reranker_reference",
 ]
 
 
@@ -149,3 +168,194 @@ def train_dist_reference(
             step_losses.append(step_loss)
         losses.append(float(np.mean(step_losses)))
     return losses
+
+
+def split_history_by_topic_reference(
+    history: np.ndarray,
+    coverage: np.ndarray,
+    num_topics: int,
+    max_length: int,
+    membership_threshold: float = MEMBERSHIP_THRESHOLD,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(ids (m, D), mask (m, D))`` of one history, one topic at a time."""
+    history = np.asarray(history, dtype=np.int64)
+    ids = np.full((num_topics, max_length), -1, dtype=np.int64)
+    mask = np.zeros((num_topics, max_length), dtype=bool)
+    if history.size == 0:
+        return ids, mask
+    item_cov = coverage[history]  # (H, m)
+    dominant = item_cov.argmax(axis=1)
+    for topic in range(num_topics):
+        member = (item_cov[:, topic] >= membership_threshold) | (dominant == topic)
+        topical = history[member][-max_length:]
+        if topical.size:
+            ids[topic, : len(topical)] = topical
+            mask[topic, : len(topical)] = True
+    return ids, mask
+
+
+def build_batch_reference(
+    requests,
+    catalog,
+    population,
+    histories,
+    topic_history_length: int = 5,
+    flat_history_length: int = 20,
+) -> RerankBatch:
+    """:func:`repro.data.build_batch`, filled one request at a time."""
+    if not requests:
+        raise ValueError("cannot build a batch from zero requests")
+    batch = len(requests)
+    length = max(r.list_length for r in requests)
+    num_topics = catalog.num_topics
+    q_v = catalog.feature_dim
+
+    user_ids = np.array([r.user_id for r in requests], dtype=np.int64)
+    item_ids = np.zeros((batch, length), dtype=np.int64)
+    item_features = np.zeros((batch, length, q_v))
+    coverage = np.zeros((batch, length, num_topics))
+    initial_scores = np.zeros((batch, length))
+    clicks = np.zeros((batch, length))
+    mask = np.zeros((batch, length), dtype=bool)
+    observed = np.zeros((batch, length), dtype=bool)
+    bids = np.zeros((batch, length)) if catalog.bids is not None else None
+
+    hist_features = np.zeros((batch, flat_history_length, q_v))
+    hist_mask = np.zeros((batch, flat_history_length), dtype=bool)
+    topic_features = np.zeros((batch, num_topics, topic_history_length, q_v))
+    topic_mask = np.zeros((batch, num_topics, topic_history_length), dtype=bool)
+
+    for row, request in enumerate(requests):
+        n = request.list_length
+        item_ids[row, :n] = request.items
+        item_features[row, :n] = catalog.features[request.items]
+        coverage[row, :n] = catalog.coverage[request.items]
+        initial_scores[row, :n] = request.initial_scores
+        if request.clicks is not None:
+            clicks[row, :n] = request.clicks
+        mask[row, :n] = True
+        if (
+            not request.fully_observed
+            and request.clicks is not None
+            and request.clicks.max() > 0.5
+        ):
+            last_click = int(np.flatnonzero(request.clicks > 0.5)[-1])
+            observed[row, : last_click + 1] = True
+        else:
+            observed[row, :n] = True
+        if bids is not None:
+            bids[row, :n] = catalog.bids[request.items]
+
+        history = np.asarray(histories[request.user_id], dtype=np.int64)
+        recent = history[-flat_history_length:]
+        if recent.size:
+            hist_features[row, : len(recent)] = catalog.features[recent]
+            hist_mask[row, : len(recent)] = True
+        topic_ids, t_mask = split_history_by_topic_reference(
+            history, catalog.coverage, num_topics, topic_history_length
+        )
+        valid = topic_ids >= 0
+        topic_features[row][valid] = catalog.features[topic_ids[valid]]
+        topic_mask[row] = t_mask
+
+    return RerankBatch(
+        user_ids=user_ids,
+        user_features=population.features[user_ids],
+        item_ids=item_ids,
+        item_features=item_features,
+        coverage=coverage,
+        initial_scores=initial_scores,
+        clicks=clicks,
+        mask=mask,
+        observed=observed,
+        history_features=hist_features,
+        history_mask=hist_mask,
+        topic_history_features=topic_features,
+        topic_history_mask=topic_mask,
+        bids=bids,
+    )
+
+
+def _ndcg(row: np.ndarray, k: int) -> float:
+    discounts = 1.0 / np.log2(np.arange(2, k + 2))
+    top = row[:k]
+    dcg = float((top * discounts[: len(top)]).sum())
+    ideal = np.sort(row)[::-1][:k]
+    idcg = float((ideal * discounts[: len(ideal)]).sum())
+    return dcg / idcg if idcg > 0 else 0.0
+
+
+def evaluate_reranker_reference(
+    reranker, bundle, ks=None, eval_batch_size: int = 256
+) -> EvaluationResult:
+    """:func:`repro.eval.evaluate_reranker`'s metrics, one list at a time."""
+    config = bundle.config
+    ks = tuple(ks) if ks is not None else config.eval_ks
+    catalog = bundle.world.catalog
+    requests = bundle.test_requests
+    permutations = []
+    for start in range(0, len(requests), eval_batch_size):
+        chunk = requests[start : start + eval_batch_size]
+        batch = build_batch_reference(
+            chunk,
+            catalog,
+            bundle.world.population,
+            bundle.histories,
+            topic_history_length=config.train.topic_history_length,
+            flat_history_length=config.train.flat_history_length,
+        )
+        perm = (
+            identity_permutation(batch)
+            if reranker is None
+            else reranker.rerank(batch)
+        )
+        permutations.extend(perm[row] for row in range(len(chunk)))
+
+    click_rows, coverage_rows, attraction_rows, bid_rows = [], [], [], []
+    for request, perm in zip(requests, permutations):
+        order = perm[: request.list_length]
+        items = request.items[order]
+        coverage_rows.append(catalog.coverage[items])
+        if catalog.bids is not None:
+            bid_rows.append(catalog.bids[items])
+        phi = bundle.click_model.attraction_probabilities(request.user_id, items)
+        eps = bundle.click_model.termination_probabilities(len(items))
+        attraction_rows.append(phi)
+        if config.eval_mode == "expected":
+            examine = np.concatenate([[1.0], np.cumprod(1.0 - phi * eps)[:-1]])
+            click_rows.append(examine * phi)
+        else:
+            click_rows.append(request.clicks[order])
+
+    ndcg_rows = attraction_rows if config.eval_mode == "expected" else click_rows
+    termination = bundle.click_model.termination_probabilities(config.list_length)
+    metrics = {}
+    for k in ks:
+        metrics[f"click@{k}"] = float(np.mean([r[:k].sum() for r in click_rows]))
+        metrics[f"ndcg@{k}"] = float(np.mean([_ndcg(r, k) for r in ndcg_rows]))
+        metrics[f"div@{k}"] = float(
+            np.mean(
+                [(1.0 - np.prod(1.0 - c[:k], axis=0)).sum() for c in coverage_rows]
+            )
+        )
+        metrics[f"satis@{k}"] = float(
+            np.mean(
+                [
+                    1.0 - float(np.prod(1.0 - termination[: len(p[:k])] * p[:k]))
+                    for p in attraction_rows
+                ]
+            )
+        )
+        if bid_rows:
+            metrics[f"rev@{k}"] = float(
+                np.mean(
+                    [
+                        float((c[:k] * b[: len(c[:k])]).sum())
+                        for c, b in zip(click_rows, bid_rows)
+                    ]
+                )
+            )
+    per_request = {
+        k: np.asarray([row[:k].sum() for row in click_rows]) for k in ks
+    }
+    return EvaluationResult(metrics=metrics, per_request_clicks=per_request)
