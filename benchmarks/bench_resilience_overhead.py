@@ -38,7 +38,7 @@ from repro.core.rapid import RapidConfig, make_rapid_variant
 from repro.core.trainer import TrainConfig, train_rapid
 from repro.data import build_batch
 from repro.eval import ExperimentConfig, prepare_bundle
-from repro.obs import Histogram
+from repro.obs import get_registry, reset_registry
 from repro.rerank import MMRReranker
 from repro.resilience import FaultSpec, chaos
 from repro.resilience.degrade import CircuitBreaker, ResilientReranker
@@ -84,7 +84,7 @@ def best_batch_seconds(bundle, runs: int = TRAIN_RUNS) -> float:
     )
     best = float("inf")
     for _ in range(runs):
-        timings = Histogram("bench.train_batch_ms")
+        reset_registry()  # train.batch_ms then holds this run only
         train_rapid(
             make_rapid_variant("rapid-det", rapid_config),
             bundle.train_requests,
@@ -92,9 +92,9 @@ def best_batch_seconds(bundle, runs: int = TRAIN_RUNS) -> float:
             bundle.world.population,
             bundle.histories,
             config=bundle.config.train,
-            timings=timings,
         )
-        best = min(best, timings.quantile(0.0) / 1000)
+        batches = get_registry().histogram("train.batch_ms")
+        best = min(best, batches.quantile(0.0) / 1000)
     return best
 
 

@@ -32,7 +32,7 @@ from bench_utils import interleaved_min_of_k, publish_benchmark
 from repro.core.rapid import RapidConfig, make_rapid_variant
 from repro.core.trainer import TrainConfig, train_rapid
 from repro.eval import ExperimentConfig, prepare_bundle
-from repro.obs import Histogram
+from repro.obs import get_registry, reset_registry
 from repro.testing import disable_sanitizer, enable_sanitizer
 
 BENCH_TAG = "sanitizer_overhead"
@@ -71,7 +71,7 @@ def best_batch_seconds(bundle, sanitized: bool = False, runs: int = TRAIN_RUNS) 
         enable_sanitizer()
     try:
         for _ in range(runs):
-            timings = Histogram("bench.train_batch_ms")
+            reset_registry()  # train.batch_ms then holds this run only
             train_rapid(
                 make_rapid_variant("rapid-det", rapid_config),
                 bundle.train_requests,
@@ -79,9 +79,9 @@ def best_batch_seconds(bundle, sanitized: bool = False, runs: int = TRAIN_RUNS) 
                 bundle.world.population,
                 bundle.histories,
                 config=bundle.config.train,
-                timings=timings,
             )
-            best = min(best, timings.quantile(0.0) / 1000)
+            batches = get_registry().histogram("train.batch_ms")
+            best = min(best, batches.quantile(0.0) / 1000)
     finally:
         if sanitized:
             disable_sanitizer()

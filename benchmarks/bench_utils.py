@@ -185,8 +185,9 @@ def bench_histogram(stage: str, **labels):
 
     All benches share the ``bench.<stage>_ms`` namespace in the
     process-global registry, so one pytest-benchmark session accumulates
-    p50/p95/p99 across datasets.  ``train_rapid`` and the neural
-    rerankers' ``fit`` take such a histogram as ``timings=``.
+    p50/p95/p99 across datasets.  Training needs no such series:
+    ``train_rapid`` times every batch into the registry's
+    ``train.batch_ms``.
     """
     return get_registry().histogram(f"bench.{stage}_ms", **labels)
 

@@ -15,6 +15,7 @@ import time
 from repro.core import RapidConfig, RapidReranker
 from repro.data import build_batch
 from repro.eval import format_table, prepare_bundle
+from repro.obs import get_registry
 from repro.rerank import DESAReranker, PRMReranker
 
 from bench_utils import bench_histogram, bench_timer, experiment_config, publish
@@ -24,30 +25,15 @@ def _measure(make_model, bundle, label: str) -> dict[str, float]:
     world = bundle.world
     dataset = bundle.config.dataset
     model = make_model()
-    # Registry-backed series: per-batch training times accumulate in the
-    # global ``bench.train_batch_ms{model=...,dataset=...}`` histogram.
-    timings = bench_histogram("train_batch", model=label, dataset=dataset)
+    # Every list-wise model trains on ``train_rapid``, which times each
+    # batch into the registry's ``train.batch_ms``; train-b is the mean
+    # of the samples this fit adds.
+    batches = get_registry().histogram("train.batch_ms")
+    count, total = batches.count, batches.sum
     start = time.perf_counter()
-    if isinstance(model, RapidReranker):
-        from repro.core.trainer import train_rapid
-
-        train_rapid(
-            model.model,
-            bundle.train_requests,
-            world.catalog,
-            world.population,
-            bundle.histories,
-            config=model.train_config,
-            timings=timings,
-        )
-    else:
-        model.fit(
-            bundle.train_requests,
-            world.catalog,
-            world.population,
-            bundle.histories,
-            timings=timings,
-        )
+    model.fit(
+        bundle.train_requests, world.catalog, world.population, bundle.histories
+    )
     train_all = time.perf_counter() - start
 
     inference = bench_histogram("test_batch", model=label, dataset=dataset)
@@ -59,7 +45,7 @@ def _measure(make_model, bundle, label: str) -> dict[str, float]:
             model.score_batch(batch)
     return {
         "train-all (s)": train_all,
-        "train-b (ms)": timings.mean,
+        "train-b (ms)": (batches.sum - total) / (batches.count - count),
         "test-b (ms)": inference.mean,
     }
 

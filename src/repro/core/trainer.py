@@ -1,8 +1,11 @@
 """Training loop and re-ranker wrapper for RAPID (paper Sec. III-E).
 
 RAPID is optimized end-to-end with the pointwise cross-entropy of Eq. 11 on
-the click labels of the initial lists, using Adam.  :class:`RapidReranker`
-adapts a trained :class:`RapidModel` to the shared
+the click labels of the initial lists, using Adam.  The list-wise neural
+baselines (DLCM, PRM, SetRank, SRGA, DESA, Seq2Slate) are trained the same
+way with their own loss, so :func:`train_rapid` is the one loop for every
+list-wise model: the ``loss_fn`` argument is the only difference.
+:class:`RapidReranker` adapts a trained :class:`RapidModel` to the shared
 :class:`~repro.rerank.base.Reranker` interface used by the evaluation
 harness and the baselines.
 """
@@ -18,7 +21,7 @@ import numpy as np
 from .. import nn
 from ..data.batching import RerankBatch, iterate_batches
 from ..data.schema import Catalog, Population, RankingRequest
-from ..obs import Histogram, RunLogger, get_registry, get_run_logger, trace
+from ..obs import RunLogger, get_registry, get_run_logger, trace
 from ..rerank.base import Reranker
 from ..resilience.chaos import faultpoint
 from ..resilience.checkpoint import CheckpointConfig, CheckpointManager
@@ -27,6 +30,7 @@ from .rapid import RapidConfig, RapidModel, make_rapid_variant
 
 __all__ = [
     "TrainConfig",
+    "rapid_loss",
     "backward_batch",
     "apply_step",
     "train_rapid",
@@ -48,13 +52,25 @@ class TrainConfig:
     seed: int = 0
 
 
+LossFn = Callable[[nn.Module, RerankBatch, np.random.Generator], nn.Tensor]
+
+
+def rapid_loss(
+    model: RapidModel, batch: RerankBatch, rng: np.random.Generator
+) -> nn.Tensor:
+    """Eq. 11: masked pointwise BCE of RAPID's click probabilities."""
+    probs = model(batch, rng=rng)
+    return nn.losses.pointwise_bce(probs, batch.clicks, mask=batch.training_mask)
+
+
 def backward_batch(
-    model: RapidModel,
+    model: nn.Module,
     optimizer: nn.Adam,
     batch: RerankBatch,
     rng: np.random.Generator,
+    loss_fn: LossFn = rapid_loss,
 ):
-    """Zero grads, forward, masked BCE, backward — no parameter update.
+    """Zero grads, ``loss_fn(model, batch, rng)``, backward — no update.
 
     Returns ``(loss, count)`` where ``count`` is the number of observed
     training positions (the BCE weight sum).  This is the half of a train
@@ -66,14 +82,13 @@ def backward_batch(
     gradient of the concatenated batch.
     """
     optimizer.zero_grad()
-    probs = model(batch, rng=rng)
-    loss = nn.losses.pointwise_bce(probs, batch.clicks, mask=batch.training_mask)
+    loss = loss_fn(model, batch, rng)
     loss.backward()
     return loss, int(batch.training_mask.sum())
 
 
 def apply_step(
-    model: RapidModel,
+    model: nn.Module,
     optimizer: nn.Adam,
     grad_clip: float,
     grads: "list[np.ndarray] | None" = None,
@@ -102,18 +117,22 @@ def apply_step(
 
 
 def train_rapid(
-    model: RapidModel,
+    model: nn.Module,
     requests: Sequence[RankingRequest],
     catalog: Catalog,
     population: Population,
     histories: list[np.ndarray],
     config: TrainConfig = TrainConfig(),
     on_epoch_end: Callable[[int, float], object] | None = None,
-    timings: Histogram | None = None,
     run_logger: RunLogger | None = None,
     checkpoint: CheckpointConfig | None = None,
+    loss_fn: LossFn = rapid_loss,
 ) -> list[float]:
     """Train ``model`` in place; returns the per-epoch mean losses.
+
+    Each batch minimizes ``loss_fn(model, batch, noise_rng)``: RAPID's
+    Eq. 11 BCE by default, a baseline's own loss for the list-wise
+    baselines (:meth:`repro.rerank.NeuralReranker.fit`).
 
     ``on_epoch_end(epoch, mean_loss)`` is invoked after every epoch;
     returning a truthy value stops training early (the losses recorded so
@@ -122,9 +141,7 @@ def train_rapid(
     metrics registry/tracer: per-batch ``train.batch`` events and spans,
     per-epoch ``train.epoch`` events with loss, grad norm, learning rate
     and throughput, a ``train.batch_ms`` latency histogram and a
-    ``train.lists`` counter.  ``timings``, when given, is a further
-    :class:`~repro.obs.metrics.Histogram` that also receives each batch's
-    milliseconds (benchmarks pass their own series).
+    ``train.lists`` counter.
 
     With ``checkpoint`` set, the run saves a durable checkpoint (model +
     optimizer slots + noise-RNG state + loss history; see
@@ -192,13 +209,13 @@ def train_rapid(
                     faultpoint("train.batch")
                     with trace("train.batch"):
                         start = time.perf_counter()
-                        loss, _ = backward_batch(model, optimizer, batch, noise_rng)
+                        loss, _ = backward_batch(
+                            model, optimizer, batch, noise_rng, loss_fn
+                        )
                         grad_norm = apply_step(model, optimizer, config.grad_clip)
                         batch_seconds = time.perf_counter() - start
                     batch_hist.observe(1000.0 * batch_seconds)
                     lists_counter.inc(batch.batch_size)
-                    if timings is not None:
-                        timings.observe(1000.0 * batch_seconds)
                     epoch_losses.append(loss.item())
                     grad_norms.append(float(grad_norm))
                     lists_seen += batch.batch_size

@@ -46,7 +46,7 @@ from ..data.synthetic import SyntheticWorld, WorldConfig
 from ..resilience.chaos import faultpoint
 from ..resilience.retry import DEFAULT_IO_POLICY, call_with_retry
 from ..utils.atomicio import atomic_savez, atomic_write_bytes, verify_checksum_sidecar
-from .supervisor import DistError, WorkerPool
+from .supervisor import DistError
 
 __all__ = [
     "ShardPlan",
@@ -219,26 +219,16 @@ def _sidecar_digest(path: Path) -> str:
     return checksum_sidecar_path(path).read_text().split()[0]
 
 
-def _generate_shard_task(payload) -> int:
-    """WorkerPool task body: build one shard, return its index."""
-    plan, index, directory = payload
-    generate_shard(plan, index, directory)
-    return index
-
-
 def generate_shards(
     directory: str | Path,
     plan: ShardPlan,
-    pool: WorkerPool | None = None,
     sleep=time.sleep,
 ) -> dict:
     """Generate every missing/invalid shard and (re)write the manifest.
 
     Shards that already verify are left untouched — a generation run
-    killed after shard ``k`` resumes by producing only ``k+1..S-1``.  With
-    ``pool`` given, outstanding shards are farmed to its workers (deaths
-    requeue, budgets degrade — see :class:`~repro.dist.supervisor.WorkerPool`);
-    otherwise they run serially.  Returns the manifest dict.
+    killed after shard ``k`` resumes by producing only ``k+1..S-1``.
+    Shards are generated serially.  Returns the manifest dict.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -247,12 +237,8 @@ def generate_shards(
         for index in range(plan.num_shards)
         if not _shard_valid(plan, index, directory)
     ]
-    if outstanding:
-        if pool is not None:
-            pool.run([(plan, index, str(directory)) for index in outstanding])
-        else:
-            for index in outstanding:
-                generate_shard(plan, index, directory, sleep=sleep)
+    for index in outstanding:
+        generate_shard(plan, index, directory, sleep=sleep)
     entries = []
     for index in range(plan.num_shards):
         path = shard_path(directory, index)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["xavier_uniform", "xavier_normal", "kaiming_uniform", "orthogonal", "zeros"]
+__all__ = ["xavier_uniform", "orthogonal", "zeros"]
 
 
 def xavier_uniform(
@@ -13,21 +13,6 @@ def xavier_uniform(
     """Glorot/Xavier uniform: U(-a, a) with a = gain * sqrt(6 / (fan_in+fan_out))."""
     fan_in, fan_out = _fans(shape)
     bound = gain * np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def xavier_normal(
-    shape: tuple[int, ...], rng: np.random.Generator, gain: float = 1.0
-) -> np.ndarray:
-    fan_in, fan_out = _fans(shape)
-    std = gain * np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape)
-
-
-def kaiming_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """He uniform, appropriate ahead of ReLU nonlinearities."""
-    fan_in, _ = _fans(shape)
-    bound = np.sqrt(6.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape)
 
 

@@ -68,5 +68,5 @@ class DESAReranker(NeuralReranker):
             catalog.num_topics,
             self.hidden,
             self.num_heads,
-            np.random.default_rng(self.seed),
+            np.random.default_rng(self.train_config.seed),
         )

@@ -50,4 +50,6 @@ class DLCMReranker(NeuralReranker):
         input_dim = (
             population.feature_dim + catalog.feature_dim + catalog.num_topics + 1
         )
-        return _DLCMNetwork(input_dim, self.hidden, np.random.default_rng(self.seed))
+        return _DLCMNetwork(
+            input_dim, self.hidden, np.random.default_rng(self.train_config.seed)
+        )

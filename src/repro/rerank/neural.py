@@ -2,9 +2,9 @@
 
 DLCM / PRM / SetRank / SRGA / DESA all follow the same recipe: a network
 maps a :class:`RerankBatch` to per-item scores, trained on click labels with
-a model-specific loss.  :class:`NeuralReranker` centralizes batching, the
-Adam loop, gradient clipping, and inference so each baseline only defines
-its architecture and loss.
+a model-specific loss.  :class:`NeuralReranker` trains the network with
+RAPID's loop, :func:`repro.core.trainer.train_rapid`, passing the baseline's
+loss, so each baseline only defines its architecture and loss.
 """
 
 from __future__ import annotations
@@ -14,10 +14,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .. import nn
-from ..data.batching import RerankBatch, iterate_batches, normalized_initial_scores
+
+# A module import, not ``from ..core.trainer import ...``: importing
+# ``repro.core`` first loads the trainer, whose ``Reranker`` import loads
+# this package before the trainer's names exist.
+from ..core import trainer
+from ..data.batching import RerankBatch, normalized_initial_scores
 from ..data.schema import Catalog, Population, RankingRequest
 from ..nn import Tensor
-from ..obs import Histogram
 from .base import Reranker
 
 __all__ = ["NeuralReranker", "list_input_features", "normalized_initial_scores"]
@@ -28,7 +32,6 @@ _LOSSES: dict[str, LossFn] = {
     "pointwise": lambda s, y, m: nn.losses.pointwise_bce_with_logits(s, y, mask=m),
     "listwise": lambda s, y, m: nn.losses.listwise_softmax_ce(s, y, mask=m),
     "pairwise": lambda s, y, m: nn.losses.pairwise_bpr(s, y, mask=m),
-    "hinge": lambda s, y, m: nn.losses.pairwise_hinge(s, y, mask=m),
 }
 
 
@@ -56,10 +59,12 @@ class NeuralReranker(Reranker):
     ----------
     hidden:
         Hidden width passed to the network builder.
-    epochs, batch_size, lr, grad_clip:
-        Optimization settings.
+    epochs, batch_size, lr, grad_clip, weight_decay, seed,
+    topic_history_length, flat_history_length:
+        Optimization and batching settings, kept as one
+        :class:`~repro.core.trainer.TrainConfig` in ``train_config``.
     loss:
-        One of ``pointwise``, ``listwise``, ``pairwise``, ``hinge``.
+        One of ``pointwise``, ``listwise``, ``pairwise``.
     """
 
     requires_training = True
@@ -78,14 +83,16 @@ class NeuralReranker(Reranker):
         flat_history_length: int = 20,
     ) -> None:
         self.hidden = hidden
-        self.epochs = epochs
-        self.batch_size = batch_size
-        self.lr = lr
-        self.grad_clip = grad_clip
-        self.weight_decay = weight_decay
-        self.seed = seed
-        self.topic_history_length = topic_history_length
-        self.flat_history_length = flat_history_length
+        self.train_config = trainer.TrainConfig(
+            epochs=epochs,
+            batch_size=batch_size,
+            lr=lr,
+            grad_clip=grad_clip,
+            weight_decay=weight_decay,
+            topic_history_length=topic_history_length,
+            flat_history_length=flat_history_length,
+            seed=seed,
+        )
         self.network: nn.Module | None = None
         self.training_losses: list[float] = []
 
@@ -96,9 +103,13 @@ class NeuralReranker(Reranker):
         """Construct the scoring network for the given feature dimensions."""
         raise NotImplementedError
 
-    def _score_tensor(self, batch: RerankBatch) -> Tensor:
-        assert self.network is not None
-        return self.network(batch)
+    def _loss(
+        self, network: nn.Module, batch: RerankBatch, rng: np.random.Generator
+    ) -> Tensor:
+        """The baseline's ``loss`` on the network's (B, L) score logits."""
+        if self.loss not in _LOSSES:
+            raise ValueError(f"unknown loss {self.loss!r}")
+        return _LOSSES[self.loss](network(batch), batch.clicks, batch.training_mask)
 
     # ------------------------------------------------------------------
     def fit(
@@ -107,44 +118,18 @@ class NeuralReranker(Reranker):
         catalog: Catalog,
         population: Population,
         histories: list[np.ndarray],
-        timings: Histogram | None = None,
     ) -> "NeuralReranker":
-        if self.loss not in _LOSSES:
-            raise ValueError(f"unknown loss {self.loss!r}")
         if self.network is None:
             self.network = self.build_network(catalog, population)
-        loss_fn = _LOSSES[self.loss]
-        optimizer = nn.Adam(
-            self.network.parameters(), lr=self.lr, weight_decay=self.weight_decay
+        self.training_losses = trainer.train_rapid(
+            self.network,
+            requests,
+            catalog,
+            population,
+            histories,
+            config=self.train_config,
+            loss_fn=self._loss,
         )
-        self.network.train()
-        self.training_losses = []
-        for epoch in range(self.epochs):
-            epoch_losses = []
-            for batch in iterate_batches(
-                requests,
-                catalog,
-                population,
-                histories,
-                batch_size=self.batch_size,
-                shuffle=True,
-                seed=self.seed + epoch,
-                topic_history_length=self.topic_history_length,
-                flat_history_length=self.flat_history_length,
-            ):
-                import time as _time
-
-                start = _time.perf_counter()
-                optimizer.zero_grad()
-                scores = self._score_tensor(batch)
-                loss = loss_fn(scores, batch.clicks, batch.training_mask)
-                loss.backward()
-                nn.clip_grad_norm(self.network.parameters(), self.grad_clip)
-                optimizer.step()
-                if timings is not None:
-                    timings.observe(1000.0 * (_time.perf_counter() - start))
-                epoch_losses.append(loss.item())
-            self.training_losses.append(float(np.mean(epoch_losses)))
         return self
 
     def score_batch(self, batch: RerankBatch) -> np.ndarray:

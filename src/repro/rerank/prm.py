@@ -71,5 +71,5 @@ class PRMReranker(NeuralReranker):
             self.hidden,
             self.num_blocks,
             self.num_heads,
-            np.random.default_rng(self.seed),
+            np.random.default_rng(self.train_config.seed),
         )

@@ -71,7 +71,7 @@ class Seq2SlateReranker(NeuralReranker):
     """
 
     name = "seq2slate"
-    loss = "listwise"  # fallback; the custom fit below is the real loss
+    loss = "stepwise"  # trained by the ``_loss`` override below
 
     def __init__(self, decode_steps: int = 5, **kwargs) -> None:
         super().__init__(**kwargs)
@@ -82,19 +82,21 @@ class Seq2SlateReranker(NeuralReranker):
             population.feature_dim + catalog.feature_dim + catalog.num_topics + 1
         )
         return _PointerNetwork(
-            input_dim, self.hidden, np.random.default_rng(self.seed)
+            input_dim, self.hidden, np.random.default_rng(self.train_config.seed)
         )
 
     # ------------------------------------------------------------------
-    def _stepwise_loss(self, batch: RerankBatch) -> Tensor:
-        """Teacher-forced pointer cross entropy over ``decode_steps`` steps.
+    def _loss(
+        self, network: nn.Module, batch: RerankBatch, rng: np.random.Generator
+    ) -> Tensor:
+        """Stepwise loss: teacher-forced pointer cross entropy over
+        ``decode_steps`` steps.
 
         At each step the pointer should place one of the *remaining
         clicked* items; pointed-at positions are removed from the
         candidate mask for subsequent steps (teacher forcing follows the
         clicked-first oracle order).
         """
-        network: _PointerNetwork = self.network  # type: ignore[assignment]
         memory, final = network.encode(batch)
         state = final
         available = batch.mask.copy()
@@ -178,40 +180,3 @@ class Seq2SlateReranker(NeuralReranker):
             rest = [i for i in range(batch.list_length) if i not in used]
             order[row][order[row] < 0] = np.asarray(rest, dtype=np.int64)
         return order
-
-    def fit(self, requests, catalog, population, histories, timings=None):
-        from ..data.batching import iterate_batches
-
-        if self.network is None:
-            self.network = self.build_network(catalog, population)
-        optimizer = nn.Adam(
-            self.network.parameters(), lr=self.lr, weight_decay=self.weight_decay
-        )
-        self.network.train()
-        self.training_losses = []
-        for epoch in range(self.epochs):
-            epoch_losses = []
-            for batch in iterate_batches(
-                requests,
-                catalog,
-                population,
-                histories,
-                batch_size=self.batch_size,
-                shuffle=True,
-                seed=self.seed + epoch,
-                topic_history_length=self.topic_history_length,
-                flat_history_length=self.flat_history_length,
-            ):
-                import time as _time
-
-                start = _time.perf_counter()
-                optimizer.zero_grad()
-                loss = self._stepwise_loss(batch)
-                loss.backward()
-                nn.clip_grad_norm(self.network.parameters(), self.grad_clip)
-                optimizer.step()
-                if timings is not None:
-                    timings.observe(1000.0 * (_time.perf_counter() - start))
-                epoch_losses.append(loss.item())
-            self.training_losses.append(float(np.mean(epoch_losses)))
-        return self

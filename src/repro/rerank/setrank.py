@@ -79,5 +79,5 @@ class SetRankReranker(NeuralReranker):
             self.num_blocks,
             self.num_heads,
             self.num_inducing,
-            np.random.default_rng(self.seed),
+            np.random.default_rng(self.train_config.seed),
         )

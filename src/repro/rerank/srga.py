@@ -74,5 +74,5 @@ class SRGAReranker(NeuralReranker):
             self.num_blocks,
             self.num_heads,
             self.window,
-            np.random.default_rng(self.seed),
+            np.random.default_rng(self.train_config.seed),
         )

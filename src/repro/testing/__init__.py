@@ -14,7 +14,8 @@ catching such bugs automatically:
   graphs the fused kernels replace (``repro.nn.kernels.use_fused(False)``
   installs them under the fused op names for a block), the
   single-process lockstep trainer the ``repro.dist`` fleet must equal
-  bit for bit, and the per-row ``build_batch`` and per-list evaluation
+  bit for bit, the per-baseline Adam loop the list-wise neural baselines
+  must equal on ``train_rapid``, and the per-row ``build_batch`` and per-list evaluation
   that the whole-batch data path must match;
 - :mod:`repro.testing.fuzz` — autograd fuzzer: seeded random programs over
   the Tensor op vocabulary (broadcasting, slicing, reductions, the fused

@@ -19,6 +19,12 @@ backwards in rank order, one count-weighted average, one apply.  It has
 no fleet, checkpoint or resume; the dist tests hold the process fleet to
 it bit for bit.
 
+**Baseline training.**  :func:`fit_neural_reference` is the Adam loop
+that each list-wise neural baseline (DLCM, PRM, SetRank, SRGA, DESA and
+Seq2Slate) once carried in its own ``fit``.  The baselines now train
+through :func:`repro.core.trainer.train_rapid` with their loss passed in,
+and must match this loop's losses and parameters bit for bit.
+
 **Batch assembly.**  :func:`build_batch_reference` fills a
 :class:`~repro.data.RerankBatch` one request at a time, and
 :func:`split_history_by_topic_reference` splits one history with a loop
@@ -39,7 +45,7 @@ import numpy as np
 from .. import nn
 from ..core.trainer import apply_step, backward_batch
 from ..data import RerankBatch
-from ..data.batching import MEMBERSHIP_THRESHOLD
+from ..data.batching import MEMBERSHIP_THRESHOLD, iterate_batches
 from ..dist.train import (
     _collect_grads,
     _rank_batches,
@@ -52,6 +58,8 @@ from ..eval.experiment import EvaluationResult
 from ..nn.kernels import zero_state
 from ..nn.tensor import Tensor
 from ..rerank import identity_permutation
+from ..rerank.neural import _LOSSES
+from ..rerank.seq2slate import Seq2SlateReranker
 
 __all__ = [
     "lstm_cell",
@@ -60,6 +68,7 @@ __all__ = [
     "gru_scan",
     "REFERENCE_OPS",
     "train_dist_reference",
+    "fit_neural_reference",
     "split_history_by_topic_reference",
     "build_batch_reference",
     "evaluate_reranker_reference",
@@ -168,6 +177,49 @@ def train_dist_reference(
             step_losses.append(step_loss)
         losses.append(float(np.mean(step_losses)))
     return losses
+
+
+def fit_neural_reference(reranker, requests, catalog, population, histories):
+    """Fit a list-wise neural baseline with its own Adam loop.
+
+    The five ``_LOSSES`` baselines minimize their named loss on the
+    network's score logits; Seq2Slate minimizes its stepwise pointer loss.
+    Returns ``reranker`` with ``network`` and ``training_losses`` set.
+    """
+    config = reranker.train_config
+    if reranker.network is None:
+        reranker.network = reranker.build_network(catalog, population)
+    network = reranker.network
+    optimizer = nn.Adam(
+        network.parameters(), lr=config.lr, weight_decay=config.weight_decay
+    )
+    network.train()
+    reranker.training_losses = []
+    for epoch in range(config.epochs):
+        epoch_losses = []
+        for batch in iterate_batches(
+            requests,
+            catalog,
+            population,
+            histories,
+            batch_size=config.batch_size,
+            shuffle=True,
+            seed=config.seed + epoch,
+            topic_history_length=config.topic_history_length,
+            flat_history_length=config.flat_history_length,
+        ):
+            optimizer.zero_grad()
+            if isinstance(reranker, Seq2SlateReranker):
+                loss = reranker._loss(network, batch, None)
+            else:
+                loss_fn = _LOSSES[reranker.loss]
+                loss = loss_fn(network(batch), batch.clicks, batch.training_mask)
+            loss.backward()
+            nn.clip_grad_norm(network.parameters(), config.grad_clip)
+            optimizer.step()
+            epoch_losses.append(loss.item())
+        reranker.training_losses.append(float(np.mean(epoch_losses)))
+    return reranker
 
 
 def split_history_by_topic_reference(

@@ -71,8 +71,8 @@ class TestFactoryWiring:
         tiny_bundle.config = dataclasses.replace(config, train=new_train)
         try:
             prm = make_reranker("prm", tiny_bundle)
-            assert prm.epochs == 7
-            assert prm.lr == pytest.approx(0.123)
+            assert prm.train_config.epochs == 7
+            assert prm.train_config.lr == pytest.approx(0.123)
             rapid = make_reranker("rapid-pro", tiny_bundle)
             assert rapid.train_config.epochs == 7
         finally:
