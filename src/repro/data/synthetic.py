@@ -243,14 +243,19 @@ class SyntheticWorld:
         user_ids = self._rng.integers(0, self.config.num_users, size=num_requests)
         candidates = np.empty((num_requests, list_length), dtype=np.int64)
         num_relevant = int(round(relevant_fraction * list_length))
-        for row, user in enumerate(user_ids):
-            top_pool = np.argsort(-matrix[user])[:pool_size]
+        users, slots = np.unique(user_ids, return_inverse=True)
+        top_pools = [np.argsort(-matrix[user])[:pool_size] for user in users]
+        # ``flatnonzero`` of the unchosen items is the sorted array
+        # ``setdiff1d(arange(num_items), chosen)`` would build.
+        available = np.ones(self.config.num_items, dtype=bool)
+        for row, slot in enumerate(slots):
+            top_pool = top_pools[slot]
             chosen = self._rng.choice(
                 top_pool, size=min(num_relevant, len(top_pool)), replace=False
             )
-            remaining = np.setdiff1d(
-                np.arange(self.config.num_items), chosen, assume_unique=False
-            )
+            available[chosen] = False
+            remaining = np.flatnonzero(available)
+            available[chosen] = True
             filler = self._rng.choice(
                 remaining, size=list_length - len(chosen), replace=False
             )

@@ -43,7 +43,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import inference
-from .tensor import Tensor, as_tensor, register_custom_op, restore_ops
+from .tensor import Tensor, _sigmoid, as_tensor, register_custom_op, restore_ops
 
 __all__ = [
     "lstm_cell_fused",
@@ -119,19 +119,9 @@ def zero_state(*shape: int, dtype=np.float64) -> Tensor:
 
 
 # ----------------------------------------------------------------------
-# Shared numerics.  _sigmoid mirrors Tensor.sigmoid exactly (same single
-# exp and blend) so fused and composed forwards are bitwise equal.
+# Shared numerics.  _sigmoid is Tensor.sigmoid's own forward, so fused and
+# composed forwards are bitwise equal.
 # ----------------------------------------------------------------------
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    decay = np.abs(x)
-    np.negative(decay, out=decay)
-    np.exp(decay, out=decay)
-    numerator = np.where(x >= 0, 1.0, decay)
-    np.add(decay, 1.0, out=decay)
-    np.divide(numerator, decay, out=numerator)
-    return numerator
 
 
 def _keep_column(mask_t) -> np.ndarray | None:

@@ -18,13 +18,26 @@ from .base import InitialRanker
 
 __all__ = ["DINRanker"]
 
-# Candidate lists scored per forward pass.  Every (list, candidate) pair
-# carries a (history_length, item_dim) history block, so one forward over
-# a whole test split holds gigabytes of transients.  Rows are independent,
-# but BLAS rounds differently when a call has few rows, so a tail under
-# half a chunk joins the chunk before it; that keeps the scores bitwise
-# equal to one unchunked forward (tests/test_rankers.py checks it).
+# Candidate lists scored per forward pass.  Each list carries one
+# (history_length, item_dim) history block, projected once and broadcast
+# over its L candidates, but the attention pairs still hold L blocks per
+# list, so one forward over a whole test split would hold hundreds of
+# megabytes of transients.  Rows are independent, but BLAS rounds
+# differently when a call has few rows, so a tail under half a chunk joins
+# the chunk before it; that keeps the scores bitwise equal to one
+# unchunked forward (tests/test_rankers.py checks it).
 _SCORE_CHUNK_LISTS = 48
+
+
+def _gather_history(
+    features: np.ndarray, ids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """History features and mask for ``ids`` padded with ``len(features)``.
+
+    The padding id gathers a zero row appended to ``features``.
+    """
+    padded = np.concatenate([features, np.zeros((1, features.shape[1]))])
+    return padded[ids], ids < len(features)
 
 
 class _DINNetwork(nn.Module):
@@ -58,13 +71,26 @@ class _DINNetwork(nn.Module):
         history_features: np.ndarray,
         history_mask: np.ndarray,
     ) -> Tensor:
-        """Return (batch,) click logits."""
+        """Return (batch,) click logits.
+
+        The batch is ``lists * L`` candidates, grouped list by list;
+        ``history_features`` (lists, H, item_dim) and ``history_mask``
+        (lists, H) hold one history per list.  Each history is projected
+        once and broadcast over its list's L candidates; training passes
+        one candidate per history.
+        """
         target = self.item_proj(Tensor(item_features))  # (B, h)
-        history = self.item_proj(Tensor(history_features))  # (B, H, h)
-        batch, horizon, hidden = history.shape
+        history = self.item_proj(Tensor(history_features))  # (R, H, h)
+        lists, horizon, hidden = history.shape
+        batch = target.shape[0]
+        length = batch // lists
         target_tiled = target.reshape(batch, 1, hidden) + Tensor(
             np.zeros((batch, horizon, hidden))
         )
+        history = (
+            history.reshape(lists, 1, horizon * hidden)
+            + Tensor(np.zeros((lists, length, horizon * hidden)))
+        ).reshape(batch, horizon, hidden)
         pair = Tensor.concatenate(
             [
                 target_tiled,
@@ -75,7 +101,8 @@ class _DINNetwork(nn.Module):
             axis=2,
         )
         weights = self.attention_mlp(pair).reshape(batch, horizon)
-        weights = weights * Tensor(history_mask.astype(np.float64))
+        mask = np.repeat(history_mask.astype(np.float64), length, axis=0)
+        weights = weights * Tensor(mask)
         interest = (weights.reshape(batch, horizon, 1) * history).sum(axis=1)
         combined = Tensor.concatenate(
             [Tensor(user_features), Tensor(item_features), Tensor(item_coverage), interest],
@@ -117,22 +144,25 @@ class DINRanker(InitialRanker):
         self.network: _DINNetwork | None = None
 
     # ------------------------------------------------------------------
-    def _history_arrays(
+    def _history_ids(
         self,
         user_ids: np.ndarray,
         catalog: Catalog,
         histories: list[np.ndarray],
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> np.ndarray:
+        """(len(user_ids), history_length) ids of each user's recent items.
+
+        Short histories are padded with ``catalog.num_items``, the id of the
+        zero row :func:`_gather_history` appends.  The table is filled once
+        per distinct user and gathered for the rest.
+        """
         horizon = self.history_length
-        batch = len(user_ids)
-        features = np.zeros((batch, horizon, catalog.feature_dim))
-        mask = np.zeros((batch, horizon), dtype=bool)
-        for row, user in enumerate(user_ids):
+        users, slots = np.unique(user_ids, return_inverse=True)
+        table = np.full((len(users), horizon), catalog.num_items, dtype=np.int64)
+        for row, user in enumerate(users):
             recent = np.asarray(histories[user], dtype=np.int64)[-horizon:]
-            if recent.size:
-                features[row, : len(recent)] = catalog.features[recent]
-                mask[row, : len(recent)] = True
-        return features, mask
+            table[row, : len(recent)] = recent
+        return table[slots]
 
     def fit(
         self,
@@ -153,12 +183,14 @@ class DINRanker(InitialRanker):
         )
         optimizer = nn.Adam(self.network.parameters(), lr=self.lr)
         interactions = np.asarray(interactions, dtype=np.int64)
+        history_ids = self._history_ids(interactions[:, 0], catalog, histories)
         for _ in range(self.epochs):
             order = rng.permutation(len(interactions))
             for start in range(0, len(order), self.batch_size):
-                rows = interactions[order[start : start + self.batch_size]]
+                batch = order[start : start + self.batch_size]
+                rows = interactions[batch]
                 users, items, labels = rows[:, 0], rows[:, 1], rows[:, 2]
-                hist_f, hist_m = self._history_arrays(users, catalog, histories)
+                hist_f, hist_m = _gather_history(catalog.features, history_ids[batch])
                 optimizer.zero_grad()
                 logits = self.network(
                     population.features[users],
@@ -190,13 +222,14 @@ class DINRanker(InitialRanker):
         candidate_items = np.asarray(candidate_items, dtype=np.int64)
         n, length = candidate_items.shape
         scores = np.empty((n, length))
+        history_ids = self._history_ids(user_ids, catalog, histories)
         starts = list(range(0, n, _SCORE_CHUNK_LISTS))
         if len(starts) > 1 and n - starts[-1] < _SCORE_CHUNK_LISTS // 2:
             starts.pop()
         for start, stop in zip(starts, starts[1:] + [n]):
             flat_users = np.repeat(user_ids[start:stop], length)
             flat_items = candidate_items[start:stop].ravel()
-            hist_f, hist_m = self._history_arrays(flat_users, catalog, histories)
+            hist_f, hist_m = _gather_history(catalog.features, history_ids[start:stop])
             with nn.no_grad():
                 logits = self.network(
                     population.features[flat_users],

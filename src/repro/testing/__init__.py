@@ -15,8 +15,9 @@ catching such bugs automatically:
   installs them under the fused op names for a block), the
   single-process lockstep trainer the ``repro.dist`` fleet must equal
   bit for bit, the per-baseline Adam loop the list-wise neural baselines
-  must equal on ``train_rapid``, and the per-row ``build_batch`` and per-list evaluation
-  that the whole-batch data path must match;
+  must equal on ``train_rapid``, the per-row ``build_batch`` and per-list evaluation
+  that the whole-batch data path must match, and the per-pair DIN
+  scoring and ``setdiff1d`` candidate sampler of the offline set-up;
 - :mod:`repro.testing.fuzz` — autograd fuzzer: seeded random programs over
   the Tensor op vocabulary (broadcasting, slicing, reductions, the fused
   recurrent kernels) with greedy shrinking to a minimal reproducing

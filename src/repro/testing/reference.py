@@ -36,6 +36,17 @@ list at a time: a DCM call per list and per-list metric formulas.
 :func:`repro.eval.evaluate_reranker` scores the pass as one (N, L) array
 and matches it bitwise when all lists have one length; padding shorter
 lists reorders float sums only.
+
+**Offline set-up.**  :func:`din_score_reference` and
+:func:`din_fit_reference` run DIN the per-pair way: every (list,
+candidate) pair gathers its user's history in a Python loop
+(:func:`din_history_arrays_reference`) and projects it in its own block
+(:func:`din_forward_reference`).  :class:`repro.rankers.DINRanker` builds
+one history per list and broadcasts it over the candidates; its scores
+and fitted parameters must match bit for bit.
+:func:`sample_candidate_sets_reference` draws candidate sets with a
+per-request argsort and set difference; the world's sampler must draw the
+same RNG stream and return the same candidates.
 """
 
 from __future__ import annotations
@@ -43,6 +54,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import nn
+from ..utils.rng import make_rng
 from ..core.trainer import apply_step, backward_batch
 from ..data import RerankBatch
 from ..data.batching import MEMBERSHIP_THRESHOLD, iterate_batches
@@ -57,6 +69,7 @@ from ..dist.train import (
 from ..eval.experiment import EvaluationResult
 from ..nn.kernels import zero_state
 from ..nn.tensor import Tensor
+from ..rankers.din import _SCORE_CHUNK_LISTS, _DINNetwork
 from ..rerank import identity_permutation
 from ..rerank.neural import _LOSSES
 from ..rerank.seq2slate import Seq2SlateReranker
@@ -72,6 +85,11 @@ __all__ = [
     "split_history_by_topic_reference",
     "build_batch_reference",
     "evaluate_reranker_reference",
+    "din_history_arrays_reference",
+    "din_forward_reference",
+    "din_fit_reference",
+    "din_score_reference",
+    "sample_candidate_sets_reference",
 ]
 
 
@@ -411,3 +429,135 @@ def evaluate_reranker_reference(
         k: np.asarray([row[:k].sum() for row in click_rows]) for k in ks
     }
     return EvaluationResult(metrics=metrics, per_request_clicks=per_request)
+
+
+def din_history_arrays_reference(user_ids, catalog, histories, history_length):
+    """One zero-padded (history_length, item_dim) block per entry of ``user_ids``."""
+    batch = len(user_ids)
+    features = np.zeros((batch, history_length, catalog.feature_dim))
+    mask = np.zeros((batch, history_length), dtype=bool)
+    for row, user in enumerate(user_ids):
+        recent = np.asarray(histories[user], dtype=np.int64)[-history_length:]
+        if recent.size:
+            features[row, : len(recent)] = catalog.features[recent]
+            mask[row, : len(recent)] = True
+    return features, mask
+
+
+def din_forward_reference(
+    network, user_features, item_features, item_coverage, history_features, history_mask
+) -> Tensor:
+    """The DIN forward with one projected history block per candidate."""
+    target = network.item_proj(Tensor(item_features))
+    history = network.item_proj(Tensor(history_features))
+    batch, horizon, hidden = history.shape
+    target_tiled = target.reshape(batch, 1, hidden) + Tensor(
+        np.zeros((batch, horizon, hidden))
+    )
+    pair = Tensor.concatenate(
+        [target_tiled, history, target_tiled * history, target_tiled - history],
+        axis=2,
+    )
+    weights = network.attention_mlp(pair).reshape(batch, horizon)
+    weights = weights * Tensor(history_mask.astype(np.float64))
+    interest = (weights.reshape(batch, horizon, 1) * history).sum(axis=1)
+    combined = Tensor.concatenate(
+        [Tensor(user_features), Tensor(item_features), Tensor(item_coverage), interest],
+        axis=1,
+    )
+    return network.output_mlp(combined).reshape(batch)
+
+
+def din_fit_reference(ranker, interactions, catalog, population, histories):
+    """:meth:`DINRanker.fit` with a per-row history gather and forward."""
+    rng = make_rng(ranker.seed)
+    ranker.network = _DINNetwork(
+        population.feature_dim,
+        catalog.feature_dim,
+        catalog.num_topics,
+        ranker.hidden,
+        rng,
+    )
+    optimizer = nn.Adam(ranker.network.parameters(), lr=ranker.lr)
+    interactions = np.asarray(interactions, dtype=np.int64)
+    for _ in range(ranker.epochs):
+        order = rng.permutation(len(interactions))
+        for start in range(0, len(order), ranker.batch_size):
+            rows = interactions[order[start : start + ranker.batch_size]]
+            users, items, labels = rows[:, 0], rows[:, 1], rows[:, 2]
+            hist_f, hist_m = din_history_arrays_reference(
+                users, catalog, histories, ranker.history_length
+            )
+            optimizer.zero_grad()
+            logits = din_forward_reference(
+                ranker.network,
+                population.features[users],
+                catalog.features[items],
+                catalog.coverage[items],
+                hist_f,
+                hist_m,
+            )
+            loss = nn.functional.binary_cross_entropy_with_logits(
+                logits, labels.astype(np.float64)
+            )
+            loss.backward()
+            optimizer.step()
+    return ranker
+
+
+def din_score_reference(
+    ranker, user_ids, candidate_items, catalog, population, histories
+):
+    """:meth:`DINRanker.score` with one history block per (list, candidate) pair."""
+    user_ids = np.asarray(user_ids, dtype=np.int64)
+    candidate_items = np.asarray(candidate_items, dtype=np.int64)
+    n, length = candidate_items.shape
+    scores = np.empty((n, length))
+    starts = list(range(0, n, _SCORE_CHUNK_LISTS))
+    if len(starts) > 1 and n - starts[-1] < _SCORE_CHUNK_LISTS // 2:
+        starts.pop()
+    for start, stop in zip(starts, starts[1:] + [n]):
+        flat_users = np.repeat(user_ids[start:stop], length)
+        flat_items = candidate_items[start:stop].ravel()
+        hist_f, hist_m = din_history_arrays_reference(
+            flat_users, catalog, histories, ranker.history_length
+        )
+        with nn.no_grad():
+            logits = din_forward_reference(
+                ranker.network,
+                population.features[flat_users],
+                catalog.features[flat_items],
+                catalog.coverage[flat_items],
+                hist_f,
+                hist_m,
+            )
+        scores[start:stop] = logits.numpy().reshape(stop - start, length)
+    return scores
+
+
+def sample_candidate_sets_reference(
+    world, num_requests, list_length, relevant_fraction=0.4, pool_size=40
+):
+    """:meth:`SyntheticWorld.sample_candidate_sets`, one argsort and
+    ``setdiff1d`` per request, drawing from the world's own generator."""
+    if list_length > world.config.num_items:
+        raise ValueError("list_length exceeds catalog size")
+    matrix = world.relevance_matrix()
+    user_ids = world._rng.integers(0, world.config.num_users, size=num_requests)
+    candidates = np.empty((num_requests, list_length), dtype=np.int64)
+    num_relevant = int(round(relevant_fraction * list_length))
+    for row, user in enumerate(user_ids):
+        top_pool = np.argsort(-matrix[user])[:pool_size]
+        chosen = world._rng.choice(
+            top_pool, size=min(num_relevant, len(top_pool)), replace=False
+        )
+        remaining = np.setdiff1d(
+            np.arange(world.config.num_items), chosen, assume_unique=False
+        )
+        filler = world._rng.choice(
+            remaining, size=list_length - len(chosen), replace=False
+        )
+        row_items = np.concatenate([chosen, filler])
+        world._rng.shuffle(row_items)
+        candidates[row] = row_items
+    return user_ids, candidates

@@ -6,6 +6,13 @@ import numpy as np
 import pytest
 
 from repro.rankers import DINRanker, LambdaMARTRanker, SVMRankRanker
+from repro.rankers import din
+
+
+def _gathered_history(ranker, catalog, histories):
+    """The history features and mask DIN gathers for user 0."""
+    ids = ranker._history_ids(np.array([0]), catalog, histories)
+    return din._gather_history(catalog.features, ids)
 
 
 class TestDINInternals:
@@ -13,9 +20,7 @@ class TestDINInternals:
         world = taobao_world
         ranker = DINRanker(history_length=5)
         histories = [np.arange(12)]
-        features, mask = ranker._history_arrays(
-            np.array([0]), world.catalog, histories
-        )
+        features, mask = _gathered_history(ranker, world.catalog, histories)
         assert features.shape == (1, 5, world.catalog.feature_dim)
         assert mask.all()
         assert np.allclose(features[0, 0], world.catalog.features[7])
@@ -24,9 +29,7 @@ class TestDINInternals:
         world = taobao_world
         ranker = DINRanker(history_length=5)
         histories = [np.array([3, 4])]
-        features, mask = ranker._history_arrays(
-            np.array([0]), world.catalog, histories
-        )
+        features, mask = _gathered_history(ranker, world.catalog, histories)
         assert mask[0].tolist() == [True, True, False, False, False]
         assert np.allclose(features[0, 2:], 0.0)
 
