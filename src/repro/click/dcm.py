@@ -133,7 +133,7 @@ class DependentClickModel:
 
     def simulate(
         self,
-        user_id: int,
+        user_id: int | np.ndarray,
         items: np.ndarray,
         rng: np.random.Generator | int | None,
         full_information: bool = False,
@@ -148,20 +148,29 @@ class DependentClickModel:
         examined everything.  The semi-synthetic training protocol uses the
         latter to compensate for the small synthetic scale (see DESIGN.md);
         evaluation never uses sampled clicks in ``expected`` mode.
+
+        Takes one user with an (L,) list, or (N,) users with (N, L) lists.
+        The rows draw from ``rng`` in order, so N lists in one call get the
+        clicks of N single-list calls.
         """
         rng = make_rng(rng)
         items = np.asarray(items, dtype=np.int64)
         phi = self.attraction_probabilities(user_id, items)
-        eps = self.termination_probabilities(len(items))
-        attracted = (rng.random(len(items)) < phi).astype(np.float64)
         if full_information:
-            return attracted
-        clicks = np.zeros(len(items))
-        for k in range(len(items)):
-            if attracted[k]:
-                clicks[k] = 1.0
-                if rng.random() < eps[k]:
-                    break
+            # One (N, L) draw is the stream of N draws of L.
+            return (rng.random(phi.shape) < phi).astype(np.float64)
+        length = items.shape[-1]
+        eps = self.termination_probabilities(length)
+        clicks = np.zeros(phi.shape)
+        # Each session draws its attractions, then one termination draw per
+        # click, before the next session draws.
+        for row_phi, row_clicks in zip(np.atleast_2d(phi), np.atleast_2d(clicks)):
+            attracted = rng.random(length) < row_phi
+            for k in range(length):
+                if attracted[k]:
+                    row_clicks[k] = 1.0
+                    if rng.random() < eps[k]:
+                        break
         return clicks
 
     # ------------------------------------------------------------------

@@ -126,17 +126,20 @@ def prepare_bundle(config: ExperimentConfig) -> ExperimentBundle:
         items, scores = ranker.rank(
             users, candidates, world.catalog, world.population, histories=histories
         )
+        clicks = click_model.simulate(
+            users, items, rng, full_information=full_information
+        )
         return [
             RankingRequest(
                 user_id=int(user),
                 items=row_items,
                 initial_scores=row_scores,
-                clicks=click_model.simulate(
-                    int(user), row_items, rng, full_information=full_information
-                ),
+                clicks=row_clicks,
                 fully_observed=full_information,
             )
-            for user, row_items, row_scores in zip(users, items, scores)
+            for user, row_items, row_scores, row_clicks in zip(
+                users, items, scores, clicks
+            )
         ]
 
     # Training labels are simulator-logged attraction outcomes for every

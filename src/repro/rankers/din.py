@@ -19,13 +19,13 @@ from .base import InitialRanker
 __all__ = ["DINRanker"]
 
 # Candidate lists scored per forward pass.  Each list carries one
-# (history_length, item_dim) history block, projected once and broadcast
-# over its L candidates, but the attention pairs still hold L blocks per
-# list, so one forward over a whole test split would hold hundreds of
-# megabytes of transients.  Rows are independent, but BLAS rounds
-# differently when a call has few rows, so a tail under half a chunk joins
-# the chunk before it; that keeps the scores bitwise equal to one
-# unchunked forward (tests/test_rankers.py checks it).
+# (history_length, item_dim) history block, projected once.  No tensor of
+# (candidate, history item) attention inputs is built, but the attention's
+# hidden layer is (lists, L, history_length, hidden), so one forward over a
+# whole test split would hold tens of megabytes per transient.  Rows are
+# independent, but BLAS rounds differently when a call has few rows, so a
+# tail under half a chunk joins the chunk before it; that keeps the scores
+# bitwise equal to one unchunked forward (tests/test_rankers.py checks it).
 _SCORE_CHUNK_LISTS = 48
 
 
@@ -54,6 +54,7 @@ class _DINNetwork(nn.Module):
         super().__init__()
         self.item_proj = nn.Linear(item_dim, hidden, rng=rng)
         # Local activation unit: scores each history item against the target.
+        # ``forward`` applies its two layers itself, the first block by block.
         self.attention_mlp = nn.MLP(
             [4 * hidden, hidden, 1], activation="relu", rng=rng
         )
@@ -80,30 +81,32 @@ class _DINNetwork(nn.Module):
         one candidate per history.
         """
         target = self.item_proj(Tensor(item_features))  # (B, h)
-        history = self.item_proj(Tensor(history_features))  # (R, H, h)
+        history = self.item_proj(Tensor(history_features))  # (lists, H, h)
         lists, horizon, hidden = history.shape
         batch = target.shape[0]
         length = batch // lists
-        target_tiled = target.reshape(batch, 1, hidden) + Tensor(
-            np.zeros((batch, horizon, hidden))
+        # The local activation unit's first layer is linear in its input
+        # [t, h, t*h, t-h], so its weight applies block by block:
+        # W [t, h, t*h, t-h] = (W_t + W_d) t + (W_h - W_d) h + W_p (t*h).
+        # The first term runs once per candidate, the second once per
+        # history item, and only the product per (candidate, history item).
+        first, second = self.attention_mlp.layers
+        w_t, w_h, w_p, w_d = (
+            first.weight[:, i * hidden : (i + 1) * hidden] for i in range(4)
         )
-        history = (
-            history.reshape(lists, 1, horizon * hidden)
-            + Tensor(np.zeros((lists, length, horizon * hidden)))
-        ).reshape(batch, horizon, hidden)
-        pair = Tensor.concatenate(
-            [
-                target_tiled,
-                history,
-                target_tiled * history,
-                target_tiled - history,
-            ],
-            axis=2,
+        per_target = target @ (w_t + w_d).T + first.bias
+        per_history = history @ (w_h - w_d).T
+        pairs = target.reshape(lists, length, 1, hidden) * history.reshape(
+            lists, 1, horizon, hidden
         )
-        weights = self.attention_mlp(pair).reshape(batch, horizon)
-        mask = np.repeat(history_mask.astype(np.float64), length, axis=0)
-        weights = weights * Tensor(mask)
-        interest = (weights.reshape(batch, horizon, 1) * history).sum(axis=1)
+        pre = (
+            per_target.reshape(lists, length, 1, hidden)
+            + per_history.reshape(lists, 1, horizon, hidden)
+            + pairs @ w_p.T
+        )  # (lists, L, H, h)
+        weights = second(pre.relu()).reshape(lists, length, horizon)
+        weights = weights * Tensor(history_mask[:, None, :].astype(np.float64))
+        interest = (weights @ history).reshape(batch, hidden)
         combined = Tensor.concatenate(
             [Tensor(user_features), Tensor(item_features), Tensor(item_coverage), interest],
             axis=1,

@@ -40,13 +40,19 @@ lists reorders float sums only.
 **Offline set-up.**  :func:`din_score_reference` and
 :func:`din_fit_reference` run DIN the per-pair way: every (list,
 candidate) pair gathers its user's history in a Python loop
-(:func:`din_history_arrays_reference`) and projects it in its own block
+(:func:`din_history_arrays_reference`), projects it in its own block and
+feeds the concatenated ``[t, h, t*h, t-h]`` input to the attention MLP
 (:func:`din_forward_reference`).  :class:`repro.rankers.DINRanker` builds
-one history per list and broadcasts it over the candidates; its scores
-and fitted parameters must match bit for bit.
+one history per list and applies the attention's first layer block by
+block, which sums in another order; its scores and fitted parameters must
+match within a stated budget and rank every list the same way.
 :func:`sample_candidate_sets_reference` draws candidate sets with a
 per-request argsort and set difference; the world's sampler must draw the
 same RNG stream and return the same candidates.
+:func:`simulate_clicks_reference` simulates one DCM session per request;
+:meth:`repro.click.DependentClickModel.simulate` takes a split's requests
+in one call and must return the same clicks and leave the generator in
+the same state.
 """
 
 from __future__ import annotations
@@ -90,6 +96,7 @@ __all__ = [
     "din_fit_reference",
     "din_score_reference",
     "sample_candidate_sets_reference",
+    "simulate_clicks_reference",
 ]
 
 
@@ -447,7 +454,8 @@ def din_history_arrays_reference(user_ids, catalog, histories, history_length):
 def din_forward_reference(
     network, user_features, item_features, item_coverage, history_features, history_mask
 ) -> Tensor:
-    """The DIN forward with one projected history block per candidate."""
+    """The DIN forward with one projected history block per candidate and
+    the attention input concatenated as ``[t, h, t*h, t-h]``."""
     target = network.item_proj(Tensor(item_features))
     history = network.item_proj(Tensor(history_features))
     batch, horizon, hidden = history.shape
@@ -561,3 +569,26 @@ def sample_candidate_sets_reference(
         world._rng.shuffle(row_items)
         candidates[row] = row_items
     return user_ids, candidates
+
+
+def simulate_clicks_reference(
+    click_model, user_ids, items, rng, full_information=False
+):
+    """:meth:`DependentClickModel.simulate` one request at a time: a phi
+    call, an attraction draw and (censored) a termination loop per row."""
+    rows = []
+    for user, row_items in zip(user_ids, items):
+        phi = click_model.attraction_probabilities(int(user), row_items)
+        eps = click_model.termination_probabilities(len(row_items))
+        attracted = (rng.random(len(row_items)) < phi).astype(np.float64)
+        if full_information:
+            rows.append(attracted)
+            continue
+        clicks = np.zeros(len(row_items))
+        for k in range(len(row_items)):
+            if attracted[k]:
+                clicks[k] = 1.0
+                if rng.random() < eps[k]:
+                    break
+        rows.append(clicks)
+    return np.stack(rows) if rows else np.zeros(np.shape(items))
