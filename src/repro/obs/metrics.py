@@ -5,7 +5,9 @@ asks the registry for a metric by name (plus optional labels) and updates
 it; readers call :meth:`MetricsRegistry.collect` for a point-in-time
 snapshot.  All updates are thread-safe, and every metric is held purely in
 memory — recording never performs I/O, so always-on instrumentation is safe
-for library use (see DESIGN.md, "Observability").
+for library use (see DESIGN.md, "Observability").  Recording is constant
+time: a repeated lookup returns the known series without normalising its
+labels, and a histogram appends each sample and sorts only when read.
 
 Three metric kinds are supported:
 
@@ -36,7 +38,6 @@ from __future__ import annotations
 import logging
 import threading
 import time
-from bisect import insort
 from itertools import chain
 
 __all__ = [
@@ -112,7 +113,7 @@ class Counter(_Metric):
 
 
 class Gauge(_Metric):
-    """Last-written value, with optional add/sub convenience."""
+    """Last-written value, with an optional add convenience."""
 
     kind = "gauge"
 
@@ -127,9 +128,6 @@ class Gauge(_Metric):
     def inc(self, amount: float = 1.0) -> None:
         with self._lock:
             self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
 
     @property
     def value(self) -> float:
@@ -202,13 +200,17 @@ class Histogram(_Metric):
     """Sample distribution: lifetime quantiles plus a sliding-window view.
 
     One :meth:`observe`, under one lock, updates the exact lifetime count
-    and sum, a sorted lifetime reservoir (``insort`` into a list, so an
-    insert is O(n) and a quantile read O(1)), and the current sub-window of
-    a ring covering the last :data:`WINDOW_S` seconds.  ``max_samples``
-    bounds the reservoir: once full, a coarse policy keeps every other
-    sample (count/sum stay exact; quantiles become approximate, which is
-    fine for telemetry).  Each sub-window applies the same policy at
-    :data:`BUCKET_CAP` samples.
+    and sum, an append-only lifetime reservoir, and the current sub-window
+    of a ring covering the last :data:`WINDOW_S` seconds, so an observe is
+    O(1).  Readers sort the reservoir in place before they interpolate.
+    ``max_samples`` bounds the reservoir: once full, it is sorted and a
+    coarse policy keeps every other sample (count/sum stay exact;
+    quantiles become approximate, which is fine for telemetry).  Each
+    sub-window applies the same policy at :data:`BUCKET_CAP` samples.
+
+    The stable sort keeps equal values in arrival order, so every quantile
+    is bitwise the one a reservoir kept sorted on insert (``insort``)
+    would give, ``-0.0``/``0.0`` ties included.
 
     :meth:`snapshot` reports both views; the ``window_*`` fields merge the
     live sub-windows, so they describe between ``window_s`` and
@@ -228,7 +230,7 @@ class Histogram(_Metric):
         clock=time.monotonic,
     ) -> None:
         super().__init__(name, labels)
-        self._sorted: list[float] = []
+        self._samples: list[float] = []
         self._count = 0
         self._sum = 0.0
         self._max_samples = max_samples
@@ -247,9 +249,10 @@ class Histogram(_Metric):
         with self._lock:
             self._count += 1
             self._sum += value
-            if len(self._sorted) >= self._max_samples:
-                self._sorted = self._sorted[::2]
-            insort(self._sorted, value)
+            if len(self._samples) >= self._max_samples:
+                self._samples.sort()
+                self._samples = self._samples[::2]
+            self._samples.append(value)
             slot = self._ring.advance(self._clear)
             bucket = self._window[slot]
             if len(bucket) >= BUCKET_CAP:
@@ -275,7 +278,8 @@ class Histogram(_Metric):
         if not 0.0 <= q <= 1.0:
             raise ValueError("quantile must be in [0, 1]")
         with self._lock:
-            return _interpolate(self._sorted, q)
+            self._samples.sort()
+            return _interpolate(self._samples, q)
 
     @property
     def p50(self) -> float:
@@ -295,7 +299,8 @@ class Histogram(_Metric):
             self._ring.advance(self._clear)
             window = sorted(chain.from_iterable(self._window))
             count, total = self._count, self._sum
-            lifetime_q = [_interpolate(self._sorted, q) for q in _QUANTILES]
+            self._samples.sort()
+            lifetime_q = [_interpolate(self._samples, q) for q in _QUANTILES]
             window_q = [_interpolate(window, q) for q in _QUANTILES]
             window_count = sum(self._window_counts)
             window_sum = sum(self._window_sums)
@@ -329,16 +334,33 @@ class MetricsRegistry:
     def __init__(self, max_series_per_metric: int = 1000) -> None:
         self._lock = threading.Lock()
         self._series: dict[tuple[str, str, Labels], _Metric] = {}
+        # Lookup table keyed by the labels as the caller wrote them
+        # (``(cls, name, *labels.items())``), so a repeated lookup skips
+        # label normalisation and the lock.
+        self._known: dict[tuple, _Metric] = {}
         self._per_name: dict[str, int] = {}
         self._overflow_logged: set[str] = set()
         self.max_series_per_metric = max_series_per_metric
 
     def _get_or_create(self, cls: type, name: str, labels: dict[str, object]):
+        try:
+            metric = self._known.get((cls, name, *labels.items()))
+        except TypeError:  # an unhashable label value: take the slow path
+            metric = None
+        if metric is not None:
+            return metric
         key = (cls.kind, name, _normalize_labels(labels))
+        # Only label sets whose values are all ``str`` enter the table:
+        # 1, 1.0 and True are equal dict keys but name three series.
+        known = None
+        if all(type(value) is str for value in labels.values()):
+            known = (cls, name, *labels.items())
         overflowed = False
         with self._lock:
             metric = self._series.get(key)
             if metric is not None:
+                if known is not None:
+                    self._known[known] = metric
                 return metric
             for kind, existing_name, _ in self._series:
                 if existing_name == name and kind != cls.kind:
@@ -351,6 +373,8 @@ class MetricsRegistry:
                 # Cardinality cap: route this (and every further) unseen
                 # label set to one shared overflow series so memory stays
                 # bounded under per-user labels; the write still lands.
+                # The overflow series never enters the lookup table, so
+                # every update routed to it is counted.
                 overflowed = True
                 key = (cls.kind, name, _OVERFLOW_LABELS)
                 metric = self._series.get(key)
@@ -360,6 +384,8 @@ class MetricsRegistry:
                 metric = cls(name, key[2])
                 self._series[key] = metric
                 self._per_name[name] = count + 1
+                if known is not None:
+                    self._known[known] = metric
         if overflowed:
             self._record_overflow(name)
         return metric
@@ -413,6 +439,7 @@ class MetricsRegistry:
         """Drop every registered series."""
         with self._lock:
             self._series.clear()
+            self._known.clear()
             self._per_name.clear()
             self._overflow_logged.clear()
 

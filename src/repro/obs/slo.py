@@ -180,9 +180,6 @@ class SLOMonitor:
         for counts in self._counts.values():
             counts.add(bad)
 
-    def record_error(self) -> None:
-        self.record(error=True)
-
     # -- reading -------------------------------------------------------
     def _window_counts(self, window_s: float) -> tuple[float, float]:
         return self._counts[window_s].totals()

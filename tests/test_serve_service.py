@@ -21,7 +21,7 @@ import pytest
 
 from repro.core import RapidConfig, RapidReranker, TrainConfig
 from repro.data import RankingRequest, build_batch
-from repro.obs import get_registry
+from repro.obs import get_registry, metrics
 from repro.obs.slo import serving_slo
 from repro.rerank import MMRReranker
 from repro.resilience import FaultSpec, chaos
@@ -152,6 +152,39 @@ class TestCacheIntegration:
         first, second = _run(scenario())
         assert first.source == "batched" and second.source == "cache"
         np.testing.assert_array_equal(first.permutation, second.permutation)
+
+    def test_repeat_cache_hit_normalises_no_labels(self, taobao_world, monkeypatch):
+        """Every metric a cache hit records is answered by the registry's
+        lookup table: the second hit on a request sorts no label set."""
+        world = taobao_world
+        histories = world.sample_histories()
+        clock = ManualClock()
+        service = _service(
+            world,
+            histories,
+            MMRReranker(),
+            clock,
+            slo_monitor=serving_slo(clock=clock),
+        )
+        [request] = _requests(world, 1, seed=5)
+        calls = []
+        normalize = metrics._normalize_labels
+
+        def spy(labels):
+            calls.append(dict(labels))
+            return normalize(labels)
+
+        async def scenario():
+            await asyncio.gather(service.rerank(request), service.drain())
+            monkeypatch.setattr(metrics, "_normalize_labels", spy)
+            first = await service.rerank(request)
+            calls.clear()
+            second = await service.rerank(request)
+            return first, second
+
+        first, second = _run(scenario())
+        assert first.source == "cache" and second.source == "cache"
+        assert calls == []
 
     def test_history_update_invalidates_and_reserves_fresh(self, taobao_world):
         """Invalidation-on-history-update never serves a stale slate."""
