@@ -25,7 +25,8 @@ bit.
 
 Gradients are accumulated in ``Tensor.grad`` by :meth:`Tensor.backward`,
 which performs a topological sort of the recorded computation graph and runs
-each node's backward closure exactly once.  All backward rules are verified
+each node's backward closure exactly once, releasing the graph as it goes:
+only leaf gradients survive the call.  All backward rules are verified
 against central finite differences in ``tests/test_nn_tensor.py``.
 
 Profiling hook: every differentiable op dispatches through the method named
@@ -213,6 +214,14 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _released_backward(grad: np.ndarray) -> None:
+    """The closure of a node whose backward already ran and was released."""
+    raise RuntimeError(
+        "backward through a graph that was already released: each graph "
+        "supports one backward pass"
+    )
+
+
 class OpDef:
     """A differentiable primitive: pure ndarray forward + vector-Jacobian product.
 
@@ -265,7 +274,9 @@ class Tensor:
         Whether gradients should flow to this tensor.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
+    __slots__ = (
+        "data", "grad", "requires_grad", "_backward", "_parents", "__weakref__"
+    )
 
     def __init__(self, data, requires_grad: bool = False) -> None:
         if isinstance(data, Tensor):
@@ -403,7 +414,13 @@ class Tensor:
             self.grad = self.grad + grad
 
     def backward(self, grad: np.ndarray | None = None) -> None:
-        """Backpropagate from this tensor through the recorded graph."""
+        """Backpropagate from this tensor through the recorded graph.
+
+        The graph is released as the walk goes: once a node's closure has
+        run, its closure (with the residuals it holds), its parents and its
+        gradient are dropped, so only leaf gradients remain afterwards.  A
+        second backward through a released node raises ``RuntimeError``.
+        """
         if grad is None:
             if self.data.size != 1:
                 raise ValueError(
@@ -430,16 +447,21 @@ class Tensor:
                     stack.append((parent, False))
 
         self._accumulate(grad)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        while topo:
+            node = topo.pop()
+            closure = node._backward
+            if closure is None:
+                continue  # a leaf or a constant: nothing to release
+            if node.grad is not None:
+                closure(node.grad)
+            # Release the node only after its own closure ran: wrappers
+            # (sanitizer, op profiler) read the parents' grads right after it.
+            node._backward = _released_backward
+            node._parents = ()
+            node.grad = None
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    def detach(self) -> "Tensor":
-        """Return a new tensor sharing data but cut from the graph."""
-        return Tensor(self.data)
 
     # ------------------------------------------------------------------
     # Arithmetic (thin dispatchers into OP_TABLE)

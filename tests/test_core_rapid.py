@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import pytest
 
+from repro import nn
 from repro.core import (
     RAPID_VARIANTS,
     ListwiseRelevanceEstimator,
@@ -16,7 +19,9 @@ from repro.core import (
     make_rapid_variant,
     train_rapid,
 )
+from repro.core.trainer import backward_batch, rapid_loss
 from repro.data import RankingRequest, build_batch
+from repro.eval import make_reranker
 from repro.nn import inference
 
 
@@ -239,3 +244,30 @@ class TestTraining:
         assert perm.shape == (batch.batch_size, batch.list_length)
         for row in perm:
             assert sorted(row) == list(range(batch.list_length))
+
+
+class TestBackwardReleasesGraph:
+    def test_step_graph_is_freed_while_loss_is_held(self, tiny_bundle):
+        bundle = tiny_bundle
+        model = make_reranker("rapid-pro", bundle).model
+        optimizer = nn.Adam(model.parameters(), lr=0.01)
+        batch = build_batch(
+            bundle.train_requests[:16],
+            bundle.world.catalog,
+            bundle.world.population,
+            bundle.histories,
+        )
+        probes = []
+
+        def probed_loss(model, batch, rng):
+            loss = rapid_loss(model, batch, rng)
+            probes.append(weakref.ref(loss._parents[0]))
+            return loss
+
+        loss, _ = backward_batch(
+            model, optimizer, batch, np.random.default_rng(0), probed_loss
+        )
+        assert probes[0]() is None
+        assert loss._parents == ()
+        assert loss.grad is None
+        assert all(p.grad is not None for p in model.parameters())

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -129,7 +133,33 @@ class TestRevenueAtK:
             revenue_at_k([np.ones(2)], [], 1)
 
 
+IMPORT_FOOTPRINT = """
+import sys
+sys.path.insert(0, {src!r})
+import numpy as np
+import repro.core, repro.serve, repro.eval, repro.dist, repro.obs
+import repro.rankers, repro.rerank, repro.resilience
+assert "scipy" not in sys.modules, "importing repro loaded scipy"
+from repro.metrics import paired_t_test
+a = np.array([0.3, 0.9, 0.4, 0.7, 0.2, 0.8, 0.5])
+b = np.array([0.1, 0.6, 0.5, 0.3, 0.2, 0.4, 0.1])
+got = paired_t_test(a, b)
+from scipy import stats
+want = stats.ttest_rel(a, b)
+assert got == (float(want.statistic), float(want.pvalue)), (got, want)
+"""
+
+
 class TestSignificance:
+    def test_scipy_loads_only_when_a_t_test_runs(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", IMPORT_FOOTPRINT.format(src=src)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_detects_clear_improvement(self):
         rng = np.random.default_rng(0)
         base = rng.normal(0.0, 1.0, size=200)

@@ -219,10 +219,29 @@ class TestGraphMechanics:
         t.zero_grad()
         assert t.grad is None
 
-    def test_detach_cuts_graph(self):
-        t = Tensor(np.ones(3), requires_grad=True)
-        (t.detach() * 5.0).sum().backward()
-        assert t.grad is None
+    def test_second_backward_through_one_graph_raises(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        z = (x * 2.0).sum()
+        z.backward()
+        with pytest.raises(RuntimeError, match="released"):
+            z.backward()
+        np.testing.assert_array_equal(x.grad, [2.0, 2.0])
+
+    def test_backward_releases_the_graph(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        hidden = (x * 2.0).tanh()
+        z = hidden.sum()
+        z.backward()
+        assert z._parents == () and hidden._parents == ()
+        assert z.grad is None and hidden.grad is None
+        assert x.grad is not None  # leaf gradients stay
+
+    def test_reusing_a_released_node_raises(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        hidden = x * 2.0
+        hidden.sum().backward()
+        with pytest.raises(RuntimeError, match="released"):
+            (hidden * 3.0).sum().backward()
 
     def test_no_grad_context(self):
         t = Tensor(np.ones(3), requires_grad=True)
