@@ -410,14 +410,12 @@ def _build_gru_cell_infer_case(rng):
     return reference, fast, (gi,), ("gi",)
 
 
-def _build_lstm_scan_infer_case(rng):
+def _lstm_scan_infer_case(rng, batch, time_steps, hidden, mask_of):
     from .tensor import Tensor, no_grad
 
-    batch, time_steps, hidden = 2, 5, 3
     gi = rng.normal(size=(batch, time_steps, 4 * hidden)) * 0.8
     w_hh = rng.normal(size=(4 * hidden, hidden)) * 0.4
-    mask = rng.random((batch, time_steps)) < 0.8
-    mask[:, 0] = True
+    mask = mask_of(rng)
 
     def reference(gi_a, w_a):
         with no_grad():
@@ -430,14 +428,12 @@ def _build_lstm_scan_infer_case(rng):
     return reference, fast, (gi, w_hh), ("gi", "w_hh")
 
 
-def _build_gru_scan_infer_case(rng):
+def _gru_scan_infer_case(rng, batch, time_steps, hidden, mask_of):
     from .tensor import Tensor, no_grad
 
-    batch, time_steps, hidden = 2, 5, 3
     gi = rng.normal(size=(batch, time_steps, 3 * hidden)) * 0.8
     w_hh = rng.normal(size=(3 * hidden, hidden)) * 0.4
-    mask = rng.random((batch, time_steps)) < 0.8
-    mask[:, 0] = True
+    mask = mask_of(rng)
 
     def reference(gi_a, w_a):
         with no_grad():
@@ -448,6 +444,32 @@ def _build_gru_scan_infer_case(rng):
         return gru_scan_infer(gi_a, np.ascontiguousarray(w_a.T), mask)
 
     return reference, fast, (gi, w_hh), ("gi", "w_hh")
+
+
+def _scan_mask(rng) -> np.ndarray:
+    mask = rng.random((2, 5)) < 0.8
+    mask[:, 0] = True
+    return mask
+
+
+def _build_lstm_scan_infer_case(rng):
+    return _lstm_scan_infer_case(rng, 2, 5, 3, _scan_mask)
+
+
+def _build_gru_scan_infer_case(rng):
+    return _gru_scan_infer_case(rng, 2, 5, 3, _scan_mask)
+
+
+def _build_lstm_scan_topic_infer_case(rng):
+    from .kernels import _topic_mask
+
+    return _lstm_scan_infer_case(rng, 8, 5, 4, _topic_mask)
+
+
+def _build_gru_scan_topic_infer_case(rng):
+    from .kernels import _topic_mask
+
+    return _gru_scan_infer_case(rng, 8, 5, 4, _topic_mask)
 
 
 def _build_bilstm_scan_infer_case(rng):
@@ -478,4 +500,6 @@ register_infer_case("lstm_cell_fused", _build_lstm_cell_infer_case)
 register_infer_case("gru_cell_fused", _build_gru_cell_infer_case)
 register_infer_case("lstm_scan_fused", _build_lstm_scan_infer_case)
 register_infer_case("gru_scan_fused", _build_gru_scan_infer_case)
+register_infer_case("lstm_scan_topic", _build_lstm_scan_topic_infer_case)
+register_infer_case("gru_scan_topic", _build_gru_scan_topic_infer_case)
 register_infer_case("bilstm_scan", _build_bilstm_scan_infer_case)

@@ -10,11 +10,18 @@ needs, and the backward applies the closed-form gradient of the full step
 in one shot.  See DESIGN.md ("Fused recurrent kernels") for the
 equivalence argument.
 
-Both kernels fold the padding mask into the step: where ``mask_t`` is
+The cells fold the padding mask into the step: where ``mask_t`` is
 ``False`` the previous state is carried through unchanged and the incoming
 gradient is routed straight to the previous state, matching the composed
 ``new * keep + old * (1 - keep)`` formulation bit for bit (the mask is 0/1
-so the blend is exact).
+so the blend is exact).  The scans step only the live rows instead: step
+``t`` gathers the rows where ``mask[:, t]`` is true, runs the gates, the
+state update and ``h @ W_hh^T`` on them and writes them back, while dead
+rows carry their state and pass their gradient straight through (their
+``dgi`` stays zero).  A mask with every entry true is no mask.  One rule
+keeps this bitwise: a lone live row in a larger batch is multiplied as a
+two-row product, because numpy sends a one-row product to gemv, which
+rounds differently from the full-batch gemm of the composed reference.
 
 Production always runs these kernels: the recurrent layers call the
 ``Tensor`` ops directly, with no dispatch branch.  The composed-op graph
@@ -321,6 +328,30 @@ def gru_cell_fused(
 # ----------------------------------------------------------------------
 
 
+def _live_steps(mask: np.ndarray | None, time: int) -> list[np.ndarray | None]:
+    """Per step, the indices of the rows it updates; ``None`` means every row.
+
+    A mask with every entry true is no mask.  A step with no live row gets
+    an empty index array: the scan skips it and every row carries its state.
+    """
+    if mask is None or mask.all():
+        return [None] * time
+    return [None if step.all() else np.flatnonzero(step) for step in mask.T]
+
+
+def _live_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for the gathered live rows of a batch, rounded as the full batch.
+
+    numpy sends a one-row product to gemv, which rounds differently from
+    the gemm that multiplies the whole batch, so a lone live row is padded
+    to two rows.  A batch of one never gathers: its full product is the
+    gemv the composed reference runs too.
+    """
+    if len(a) == 1:
+        return (np.concatenate((a, a)) @ b)[:1]
+    return a @ b
+
+
 def lstm_scan_fused(
     gi: Tensor,
     w_hh: Tensor,
@@ -337,7 +368,8 @@ def lstm_scan_fused(
         (4H, H) recurrent weights; the scan computes ``h W_hh^T`` itself.
     mask:
         Optional (B, T) validity mask; padded steps carry the previous
-        state, exactly like the per-step composed graph.
+        state, exactly like the per-step composed graph.  Each step runs
+        on its live rows only.
 
     Returns
     -------
@@ -356,63 +388,71 @@ def lstm_scan_fused(
     hs = width // 4
     w = w_hh.data
     wt = w.T
+    steps = _live_steps(mask, time)
     h = np.zeros((batch, hs))
     c = np.zeros((batch, hs))
     outputs = np.empty((batch, time, hs))
-    cache: list[tuple] = []
-    for t in range(time):
-        z = z_all[:, t] + h @ wt
+    cache: list[tuple | None] = []
+    for t, live in enumerate(steps):
+        if live is None:
+            h_prev, c_prev = h, c
+            z = z_all[:, t] + h @ wt
+        elif live.size:
+            h_prev, c_prev = h[live], c[live]
+            z = z_all[live, t] + _live_matmul(h_prev, wt)
+        else:
+            outputs[:, t] = h
+            cache.append(None)
+            continue
         act = _sigmoid(np.concatenate((z[:, : 2 * hs], z[:, 3 * hs :]), axis=1))
         i = act[:, :hs]
         f = act[:, hs : 2 * hs]
         o = act[:, 2 * hs :]
         g = np.tanh(z[:, 2 * hs : 3 * hs])
-        c_new = f * c + i * g
+        c_new = f * c_prev + i * g
         tanh_c = np.tanh(c_new)
         h_new = o * tanh_c
-        h_prev, c_prev = h, c
-        if mask is None:
-            keep = None
+        if live is None:
             h, c = h_new, c_new
         else:
-            keep = np.asarray(mask[:, t], dtype=np.float64)[:, None]
-            h = h_new * keep + h_prev * (1.0 - keep)
-            c = c_new * keep + c_prev * (1.0 - keep)
+            # h and c are never cached (a gathered h_prev is a copy), so the
+            # live rows are written in place and the dead rows carry.
+            h[live] = h_new
+            c[live] = c_new
         outputs[:, t] = h
-        cache.append((act, g, tanh_c, c_prev, h_prev, keep))
+        cache.append((live, act, g, tanh_c, c_prev, h_prev))
 
     def backward(grad: np.ndarray) -> None:
-        dgi = np.empty_like(z_all)
+        dgi = np.zeros_like(z_all)
         dw = np.zeros_like(w)
         dh = np.zeros((batch, hs))
         dc = np.zeros((batch, hs))
         for t in range(time - 1, -1, -1):
-            act, g, tanh_c, c_prev, h_prev, keep = cache[t]
+            dh += grad[:, t]
+            if cache[t] is None:
+                continue
+            live, act, g, tanh_c, c_prev, h_prev = cache[t]
             i = act[:, :hs]
             f = act[:, hs : 2 * hs]
             o = act[:, 2 * hs :]
-            dh_t = grad[:, t] + dh
-            dc_t = dc
-            if keep is None:
-                dh_carry = dc_carry = None
+            if live is None:
+                dh_t, dc_t, dz = dh, dc, dgi[:, t]
             else:
-                dh_carry = dh_t * (1.0 - keep)
-                dh_t = dh_t * keep
-                dc_carry = dc_t * (1.0 - keep)
-                dc_t = dc_t * keep
+                dh_t, dc_t, dz = dh[live], dc[live], np.empty((live.size, width))
             dc_total = dc_t + dh_t * o * (1.0 - tanh_c * tanh_c)
-            dz = dgi[:, t]
             np.multiply(dc_total * i * (1.0 - i), g, out=dz[:, :hs])
             np.multiply(dc_total * f * (1.0 - f), c_prev, out=dz[:, hs : 2 * hs])
             np.multiply(dc_total * (1.0 - g * g), i, out=dz[:, 2 * hs : 3 * hs])
             np.multiply(dh_t * o * (1.0 - o), tanh_c, out=dz[:, 3 * hs :])
-            dh = dz @ w
-            if dh_carry is not None:
-                dh += dh_carry
             dw += dz.T @ h_prev
-            dc = dc_total * f
-            if dc_carry is not None:
-                dc += dc_carry
+            if live is None:
+                dh = dz @ w
+                dc = dc_total * f
+            else:
+                # A dead row's dh/dc passes through; its dgi stays zero.
+                dgi[live, t] = dz
+                dh[live] = _live_matmul(dz, w)
+                dc[live] = dc_total * f
         gi._accumulate_owned(dgi)
         w_hh._accumulate_owned(dw)
 
@@ -428,7 +468,8 @@ def gru_scan_fused(
 
     ``gi`` is (B, T, 3H) input pre-activations, ``w_hh`` is (3H, H); the
     scan computes the recurrent pre-activations ``h W_hh^T`` per step and
-    returns (B, T, H) hidden states (post-mask, zero initial state).
+    returns (B, T, H) hidden states (post-mask, zero initial state).  Each
+    step runs on its live rows only, as in :func:`lstm_scan_fused`.
     Float32 inputs run :func:`repro.nn.inference.gru_scan_infer`.
     """
     gi = as_tensor(gi)
@@ -440,43 +481,48 @@ def gru_scan_fused(
     hs = width // 3
     w = w_hh.data
     wt = w.T
+    steps = _live_steps(mask, time)
     h = np.zeros((batch, hs))
     outputs = np.empty((batch, time, hs))
-    cache: list[tuple] = []
-    for t in range(time):
-        a = a_all[:, t]
-        b = h @ wt
+    cache: list[tuple | None] = []
+    for t, live in enumerate(steps):
+        if live is None:
+            h_prev = h
+            a = a_all[:, t]
+            b = h @ wt
+        elif live.size:
+            h_prev = h[live]
+            a = a_all[live, t]
+            b = _live_matmul(h_prev, wt)
+        else:
+            outputs[:, t] = h
+            cache.append(None)
+            continue
         ru = _sigmoid(a[:, : 2 * hs] + b[:, : 2 * hs])
         r = ru[:, :hs]
         u = ru[:, hs:]
         gh_n = b[:, 2 * hs :]
         n = np.tanh(a[:, 2 * hs :] + r * gh_n)
-        h_prev = h
         h_new = (1.0 - u) * n + u * h_prev
-        if mask is None:
-            keep = None
+        if live is None:
             h = h_new
         else:
-            keep = np.asarray(mask[:, t], dtype=np.float64)[:, None]
-            h = h_new * keep + h_prev * (1.0 - keep)
+            h[live] = h_new
         outputs[:, t] = h
-        cache.append((ru, n, gh_n, h_prev, keep))
+        cache.append((live, ru, n, gh_n, h_prev))
 
     def backward(grad: np.ndarray) -> None:
-        dgi = np.empty_like(a_all)
+        dgi = np.zeros_like(a_all)
         dw = np.zeros_like(w)
         dh = np.zeros((batch, hs))
-        dgh = np.empty((batch, 3 * hs))
         for t in range(time - 1, -1, -1):
-            ru, n, gh_n, h_prev, keep = cache[t]
+            dh += grad[:, t]
+            if cache[t] is None:
+                continue
+            live, ru, n, gh_n, h_prev = cache[t]
             r = ru[:, :hs]
             u = ru[:, hs:]
-            dh_t = grad[:, t] + dh
-            if keep is None:
-                dh_carry = None
-            else:
-                dh_carry = dh_t * (1.0 - keep)
-                dh_t = dh_t * keep
+            dh_t = dh if live is None else dh[live]
             dpre_n = dh_t * (1.0 - u)
             dpre_n *= 1.0 - n * n
             du = dh_t * (h_prev - n)
@@ -485,18 +531,21 @@ def gru_scan_fused(
             dr = dpre_n * gh_n
             dr *= r
             dr *= 1.0 - r
-            da = dgi[:, t]
+            da = dgi[:, t] if live is None else np.empty((live.size, width))
             da[:, :hs] = dr
             da[:, hs : 2 * hs] = du
             da[:, 2 * hs :] = dpre_n
+            dgh = np.empty((len(da), width))
             dgh[:, :hs] = dr
             dgh[:, hs : 2 * hs] = du
             np.multiply(dpre_n, r, out=dgh[:, 2 * hs :])
-            dh = dgh @ w
-            dh += dh_t * u
-            if dh_carry is not None:
-                dh += dh_carry
             dw += dgh.T @ h_prev
+            if live is None:
+                dh = dgh @ w
+                dh += dh_t * u
+            else:
+                dgi[live, t] = da
+                dh[live] = _live_matmul(dgh, w) + dh_t * u
         gi._accumulate_owned(dgi)
         w_hh._accumulate_owned(dw)
 
@@ -621,6 +670,32 @@ def _build_gru_scan_case(rng):
     return fn, (gi, w_hh), ("gi", "w_hh")
 
 
+def _topic_mask(rng) -> np.ndarray:
+    """(8, 5) mask shaped like the per-topic histories of a training batch.
+
+    Valid steps form a prefix (``_topic_slots`` fills slot 0 first), 40% of
+    the pairs are valid, two rows are entirely dead, and the last two steps
+    each have one lone live row.
+    """
+    lengths = rng.permutation([5, 3, 3, 2, 2, 1, 0, 0])
+    return np.arange(5) < lengths[:, None]
+
+
+def _scan_topic_case(op: str, factor: int):
+    def build(rng):
+        hidden = 4
+        mask = _topic_mask(rng)
+        gi = rng.normal(size=(*mask.shape, factor * hidden)) * 0.8
+        w_hh = rng.normal(size=(factor * hidden, hidden)) * 0.4
+
+        def fn(gi_t, w_t):
+            return getattr(Tensor, op)(gi_t, w_t, mask)
+
+        return fn, (gi, w_hh), ("gi", "w_hh")
+
+    return build
+
+
 def _build_bilstm_scan_case(rng):
     batch, time, hidden = 2, 4, 3
     gi_f, gi_b = rng.normal(size=(2, batch, time, 4 * hidden)) * 0.8
@@ -637,4 +712,6 @@ register_oracle_case("lstm_cell_fused", _build_lstm_cell_case)
 register_oracle_case("gru_cell_fused", _build_gru_cell_case)
 register_oracle_case("lstm_scan_fused", _build_lstm_scan_case)
 register_oracle_case("gru_scan_fused", _build_gru_scan_case)
+register_oracle_case("lstm_scan_topic", _scan_topic_case("lstm_scan_fused", 4))
+register_oracle_case("gru_scan_topic", _scan_topic_case("gru_scan_fused", 3))
 register_oracle_case("bilstm_scan", _build_bilstm_scan_case)

@@ -1,11 +1,9 @@
-"""Shared utilities: RNG management, timing, validation."""
+"""Shared utilities: RNG management and validation."""
 
 from .rng import make_rng, spawn_rngs
-from .timer import Stopwatch
 from .validation import check_in_range, check_positive, check_probability_matrix
 
 __all__ = [
-    "Stopwatch",
     "check_in_range",
     "check_positive",
     "check_probability_matrix",

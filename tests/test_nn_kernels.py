@@ -23,7 +23,7 @@ from repro.nn.kernels import (
     use_fused,
     zero_state,
 )
-from repro.testing import reference
+from repro.testing import differential_check, reference
 
 
 def _random_case(rng, batch, hidden, factor, scale=1.0):
@@ -310,6 +310,57 @@ class TestScanGradcheck:
                 flat[index] = original
                 numeric_flat[index] = (plus - minus) / (2 * eps)
             assert np.allclose(grad, numeric, atol=1e-6)
+
+
+_LONE_ROW_MASKS = {
+    # step 1 and step 4: row 0 alone; step 2: no live row
+    2: [[1, 1, 0, 1, 1], [1, 0, 0, 1, 0]],
+    # prefix masks as in the topic histories; steps 2 and 3: one live row
+    5: [[1, 1, 1, 1], [1, 1, 0, 0], [1, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0]],
+    # a batch of one: every live step is the whole batch
+    1: [[1, 0, 1, 1]],
+}
+
+
+class TestLiveRowStepping:
+    """The scans step only the rows that are live at each step.
+
+    A step with one live row in a larger batch must round like the
+    full-batch gemm of the composed reference, not like gemv; a batch of one
+    must keep gemv, as the reference does.  Forward values are bitwise and
+    gradients keep the oracle's default budget.
+    """
+
+    @pytest.mark.parametrize("batch", sorted(_LONE_ROW_MASKS))
+    @pytest.mark.parametrize("op,factor", [("lstm_scan_fused", 4), ("gru_scan_fused", 3)])
+    def test_lone_live_row_matches_composed(self, op, factor, batch):
+        mask = np.asarray(_LONE_ROW_MASKS[batch], dtype=bool)
+        hidden = 16
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            gi = rng.normal(size=(*mask.shape, factor * hidden))
+            w_hh = rng.normal(size=(factor * hidden, hidden)) * 0.4
+
+            def fn(gi_t, w_t):
+                return getattr(Tensor, op)(gi_t, w_t, mask)
+
+            report = differential_check(fn, (gi, w_hh), name=op, fd=False)
+            assert report.passed, report.format()
+
+    @pytest.mark.parametrize("scan,factor", [(lstm_scan_fused, 4), (gru_scan_fused, 3)])
+    def test_all_true_mask_is_no_mask(self, scan, factor):
+        rng = np.random.default_rng(41)
+        gi_d = rng.normal(size=(4, 6, factor * 3))
+        w_d = rng.normal(size=(factor * 3, 3)) * 0.5
+        results = []
+        for mask in (None, np.ones((4, 6), dtype=bool)):
+            gi = Tensor(gi_d, requires_grad=True)
+            w = Tensor(w_d, requires_grad=True)
+            out = scan(gi, w, mask)
+            _loss(out).backward()
+            results.append((out.data, gi.grad, w.grad))
+        for unmasked, all_true in zip(*results):
+            assert unmasked.tobytes() == all_true.tobytes()
 
 
 class TestSequenceEquivalence:

@@ -1,14 +1,11 @@
-"""Tests for the shared utilities: rng, timer, validation."""
+"""Tests for the shared utilities: rng and validation."""
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 import pytest
 
 from repro.utils import (
-    Stopwatch,
     check_in_range,
     check_positive,
     check_probability_matrix,
@@ -35,35 +32,6 @@ class TestRng:
         a = [rng.random() for rng in spawn_rngs(7, 2)]
         b = [rng.random() for rng in spawn_rngs(7, 2)]
         assert a == b
-
-
-class TestTimer:
-    def test_stopwatch_measures_elapsed(self):
-        with Stopwatch() as watch:
-            time.sleep(0.01)
-        assert watch.elapsed >= 0.01
-
-    def test_stopwatch_reuse_is_clean(self):
-        watch = Stopwatch()
-        with watch:
-            time.sleep(0.01)
-        first = watch.elapsed
-        with watch:
-            pass
-        assert watch.elapsed < first  # no stale _start leaking across uses
-
-    def test_stopwatch_nested_reentry(self):
-        watch = Stopwatch()
-        with watch:
-            time.sleep(0.01)
-            with watch:
-                pass
-            inner = watch.elapsed
-        assert watch.elapsed >= 0.01 > inner
-
-    def test_stopwatch_exit_without_enter(self):
-        with pytest.raises(RuntimeError):
-            Stopwatch().__exit__(None, None, None)
 
 
 class TestValidation:
