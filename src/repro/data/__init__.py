@@ -20,7 +20,7 @@ from .io import (
 )
 from .movielens import MOVIELENS_SCALES, make_movielens_world
 from .schema import Catalog, Population, RankingRequest, RerankDataset
-from .splits import ratio_split, train_test_split
+from .splits import train_test_split
 from .synthetic import SyntheticWorld, WorldConfig
 from .taobao import TAOBAO_SCALES, make_taobao_world
 from .topics import GaussianMixture, gmm_coverage, multihot_coverage, onehot_coverage
@@ -50,7 +50,6 @@ __all__ = [
     "multihot_coverage",
     "normalized_initial_scores",
     "onehot_coverage",
-    "ratio_split",
     "save_catalog",
     "save_histories",
     "save_population",

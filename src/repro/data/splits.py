@@ -3,8 +3,8 @@
 The paper splits each public dataset into behavior history, initial-ranker
 training, re-ranking training, and test partitions (chronologically for
 Taobao, 2:3:4:1 per user for MovieLens).  Our generators produce the
-partitions directly, so this module only needs generic request-level and
-interaction-level splitters used by the pipeline and the tests.
+partitions directly, so this module only needs a generic request-level
+splitter (the validation split of the hyper-parameter sweeps).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from ..utils.rng import make_rng
 
-__all__ = ["train_test_split", "ratio_split"]
+__all__ = ["train_test_split"]
 
 T = TypeVar("T")
 
@@ -36,37 +36,3 @@ def train_test_split(
     train = [items[i] for i in order[:cut]]
     test = [items[i] for i in order[cut:]]
     return train, test
-
-
-def ratio_split(
-    items: Sequence[T],
-    ratios: Sequence[float],
-) -> list[list[T]]:
-    """Deterministic in-order split by ratio, e.g. the paper's 2:3:4:1.
-
-    Every partition is guaranteed at least one element when
-    ``len(items) >= len(ratios)``.
-    """
-    ratios = np.asarray(ratios, dtype=np.float64)
-    if np.any(ratios <= 0):
-        raise ValueError("ratios must be positive")
-    if len(items) < len(ratios):
-        raise ValueError("not enough items for the requested partitions")
-    bounds = np.cumsum(ratios) / ratios.sum()
-    cuts = [int(round(b * len(items))) for b in bounds[:-1]]
-    # Enforce monotone, non-empty partitions.
-    adjusted: list[int] = []
-    previous = 0
-    remaining = len(ratios) - 1
-    for cut in cuts:
-        cut = max(cut, previous + 1)
-        cut = min(cut, len(items) - remaining)
-        adjusted.append(cut)
-        previous = cut
-        remaining -= 1
-    pieces: list[list[T]] = []
-    start = 0
-    for cut in adjusted + [len(items)]:
-        pieces.append(list(items[start:cut]))
-        start = cut
-    return pieces

@@ -20,7 +20,6 @@ __all__ = [
     "masked_softmax",
     "binary_cross_entropy",
     "binary_cross_entropy_with_logits",
-    "mse_loss",
     "dropout",
 ]
 
@@ -95,12 +94,6 @@ def binary_cross_entropy_with_logits(
         denom = max(float(np.sum(weight)), _EPS)
         return loss.sum() * (1.0 / denom)
     return loss.mean()
-
-
-def mse_loss(pred: Tensor, targets: np.ndarray) -> Tensor:
-    pred = as_tensor(pred)
-    diff = pred - Tensor(np.asarray(targets, dtype=np.float64))
-    return (diff * diff).mean()
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool) -> Tensor:

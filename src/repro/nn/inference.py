@@ -23,10 +23,13 @@ allocation-free kernels here instead of their training loops:
 training kernels for a block — bit for bit the ``no_grad`` eval forward,
 which the golden slates and the benchmark's drift check compare against.
 
-Parity is enforced by the differential oracle (``repro.testing.oracle``
-replays every fused-kernel case on these kernels with explicit
-tolerance/ULP budgets), the golden-slate suite (identical slates float32
-vs float64 for every reranker), and the per-layer drift tests.
+Parity is enforced by the differential oracle
+(``repro.testing.oracle.check_all_infer_kernels`` replays every
+fused-kernel case on float32 Tensors inside ``infer_mode``, so the scan
+ops reach these kernels by dtype as serving does, against the float64
+``no_grad`` forward with explicit tolerance/ULP budgets), the
+golden-slate suite (identical slates float32 vs float64 for every
+reranker), and the per-layer drift tests.
 
 Profiling: the fused scan ops that call these kernels are in
 :data:`~repro.nn.tensor.PROFILED_OPS`, so the ``repro.obs`` op profiler
@@ -44,8 +47,6 @@ __all__ = [
     "lstm_scan_infer",
     "gru_scan_infer",
     "bilstm_scan_infer",
-    "INFER_CASES",
-    "register_infer_case",
 ]
 
 # ----------------------------------------------------------------------
@@ -342,164 +343,3 @@ def bilstm_scan_infer(
     # (T, B, [fwd | bwd]) -> (B, T, 2H), un-reversing the backward half.
     out = out.transpose(1, 0, 2)
     return np.concatenate([out[..., :hidden], out[:, ::-1, hidden:]], axis=-1)
-
-
-# ----------------------------------------------------------------------
-# Differential-oracle twin cases.
-#
-# Mirrors ``repro.nn.kernels.ORACLE_CASES``: every fused kernel registers
-# an inference twin here so ``repro.testing.oracle`` can replay the
-# tape-free kernel against the float64 tape reference with explicit
-# tolerance / ULP budgets (the budgets live in the oracle, the cases
-# here).  ``build(rng)`` returns ``(reference_fn, infer_fn, arrays,
-# input_names)``: ``reference_fn`` consumes float64 arrays through the
-# tape path, ``infer_fn`` consumes arrays pre-cast to float32 through the
-# production kernels above.
-# ----------------------------------------------------------------------
-
-INFER_CASES: dict[str, object] = {}
-
-
-def register_infer_case(name: str, build) -> None:
-    """Register the inference-twin differential case for a kernel."""
-    INFER_CASES[name] = build
-
-
-def _build_lstm_cell_infer_case(rng):
-    from .tensor import Tensor, no_grad
-
-    batch, hidden = 3, 4
-    gates = rng.normal(size=(batch, 4 * hidden)) * 0.8
-    mask = rng.random(batch) < 0.75
-    mask[0] = True
-
-    def reference(gates_a):
-        with no_grad():
-            zero = Tensor(np.zeros((batch, hidden)))
-            h_new, _ = Tensor.lstm_cell_fused(Tensor(gates_a), zero, zero, mask)
-        return h_new.data
-
-    def fast(gates_a):
-        # The production cell body lives inside the scan: a T=1 scan with
-        # zero recurrent weights replays it (zero initial state).
-        w_hh_t = np.zeros((hidden, 4 * hidden), dtype=gates_a.dtype)
-        return lstm_scan_infer(gates_a[:, None, :], w_hh_t, mask[:, None])[:, 0, :]
-
-    return reference, fast, (gates,), ("gates",)
-
-
-def _build_gru_cell_infer_case(rng):
-    from .tensor import Tensor, no_grad
-
-    batch, hidden = 3, 4
-    gi = rng.normal(size=(batch, 3 * hidden)) * 0.8
-    mask = rng.random(batch) < 0.75
-    mask[0] = True
-
-    def reference(gi_a):
-        with no_grad():
-            h = Tensor(np.zeros((batch, hidden)))
-            gh = Tensor(np.zeros((batch, 3 * hidden)))
-            out = Tensor.gru_cell_fused(Tensor(gi_a), gh, h, mask)
-        return out.data
-
-    def fast(gi_a):
-        w_hh_t = np.zeros((hidden, 3 * hidden), dtype=gi_a.dtype)
-        return gru_scan_infer(gi_a[:, None, :], w_hh_t, mask[:, None])[:, 0, :]
-
-    return reference, fast, (gi,), ("gi",)
-
-
-def _lstm_scan_infer_case(rng, batch, time_steps, hidden, mask_of):
-    from .tensor import Tensor, no_grad
-
-    gi = rng.normal(size=(batch, time_steps, 4 * hidden)) * 0.8
-    w_hh = rng.normal(size=(4 * hidden, hidden)) * 0.4
-    mask = mask_of(rng)
-
-    def reference(gi_a, w_a):
-        with no_grad():
-            out = Tensor.lstm_scan_fused(Tensor(gi_a), Tensor(w_a), mask)
-        return out.data
-
-    def fast(gi_a, w_a):
-        return lstm_scan_infer(gi_a, w_a.T, mask)
-
-    return reference, fast, (gi, w_hh), ("gi", "w_hh")
-
-
-def _gru_scan_infer_case(rng, batch, time_steps, hidden, mask_of):
-    from .tensor import Tensor, no_grad
-
-    gi = rng.normal(size=(batch, time_steps, 3 * hidden)) * 0.8
-    w_hh = rng.normal(size=(3 * hidden, hidden)) * 0.4
-    mask = mask_of(rng)
-
-    def reference(gi_a, w_a):
-        with no_grad():
-            out = Tensor.gru_scan_fused(Tensor(gi_a), Tensor(w_a), mask)
-        return out.data
-
-    def fast(gi_a, w_a):
-        return gru_scan_infer(gi_a, np.ascontiguousarray(w_a.T), mask)
-
-    return reference, fast, (gi, w_hh), ("gi", "w_hh")
-
-
-def _scan_mask(rng) -> np.ndarray:
-    mask = rng.random((2, 5)) < 0.8
-    mask[:, 0] = True
-    return mask
-
-
-def _build_lstm_scan_infer_case(rng):
-    return _lstm_scan_infer_case(rng, 2, 5, 3, _scan_mask)
-
-
-def _build_gru_scan_infer_case(rng):
-    return _gru_scan_infer_case(rng, 2, 5, 3, _scan_mask)
-
-
-def _build_lstm_scan_topic_infer_case(rng):
-    from .kernels import _topic_mask
-
-    return _lstm_scan_infer_case(rng, 8, 5, 4, _topic_mask)
-
-
-def _build_gru_scan_topic_infer_case(rng):
-    from .kernels import _topic_mask
-
-    return _gru_scan_infer_case(rng, 8, 5, 4, _topic_mask)
-
-
-def _build_bilstm_scan_infer_case(rng):
-    from .tensor import Tensor, no_grad
-
-    batch, time_steps, hidden = 2, 5, 3
-    gi_f, gi_b = rng.normal(size=(2, batch, time_steps, 4 * hidden)) * 0.8
-    w_f, w_b = rng.normal(size=(2, 4 * hidden, hidden)) * 0.4
-    mask = rng.random((batch, time_steps)) < 0.8
-    mask[:, 0] = True
-    mask[1, -1] = False  # padded, so the per-unit reversed mask runs
-
-    def reference(gi_f_a, gi_b_a, w_f_a, w_b_a):
-        with no_grad():
-            fwd = Tensor.lstm_scan_fused(Tensor(gi_f_a), Tensor(w_f_a), mask)
-            bwd = Tensor.lstm_scan_fused(
-                Tensor(gi_b_a), Tensor(w_b_a), mask[:, ::-1]
-            )
-        return np.concatenate([fwd.data, bwd.data[:, ::-1]], axis=-1)
-
-    def fast(gi_f_a, gi_b_a, w_f_a, w_b_a):
-        return bilstm_scan_infer(gi_f_a, gi_b_a, w_f_a, w_b_a, mask)
-
-    return reference, fast, (gi_f, gi_b, w_f, w_b), ("gi_f", "gi_b", "w_hh_f", "w_hh_b")
-
-
-register_infer_case("lstm_cell_fused", _build_lstm_cell_infer_case)
-register_infer_case("gru_cell_fused", _build_gru_cell_infer_case)
-register_infer_case("lstm_scan_fused", _build_lstm_scan_infer_case)
-register_infer_case("gru_scan_fused", _build_gru_scan_infer_case)
-register_infer_case("lstm_scan_topic", _build_lstm_scan_topic_infer_case)
-register_infer_case("gru_scan_topic", _build_gru_scan_topic_infer_case)
-register_infer_case("bilstm_scan", _build_bilstm_scan_infer_case)

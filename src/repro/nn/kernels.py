@@ -10,27 +10,27 @@ needs, and the backward applies the closed-form gradient of the full step
 in one shot.  See DESIGN.md ("Fused recurrent kernels") for the
 equivalence argument.
 
-The cells fold the padding mask into the step: where ``mask_t`` is
-``False`` the previous state is carried through unchanged and the incoming
-gradient is routed straight to the previous state, matching the composed
-``new * keep + old * (1 - keep)`` formulation bit for bit (the mask is 0/1
-so the blend is exact).  The scans step only the live rows instead: step
-``t`` gathers the rows where ``mask[:, t]`` is true, runs the gates, the
-state update and ``h @ W_hh^T`` on them and writes them back, while dead
-rows carry their state and pass their gradient straight through (their
-``dgi`` stays zero).  A mask with every entry true is no mask.  One rule
-keeps this bitwise: a lone live row in a larger batch is multiplied as a
-two-row product, because numpy sends a one-row product to gemv, which
-rounds differently from the full-batch gemm of the composed reference.
+The cells take no mask: their callers (``LSTMCell`` / ``GRUCell``)
+advance every row.  The scans take the (B, T) padding mask and step only
+the live rows: step ``t`` gathers the rows where ``mask[:, t]`` is true,
+runs the gates, the state update and ``h @ W_hh^T`` on them and writes
+them back, while dead rows carry their state and pass their gradient
+straight through (their ``dgi`` stays zero).  A mask with every entry
+true is no mask.  One rule keeps this bitwise: a lone live row in a
+larger batch is multiplied as a two-row product, because numpy sends a
+one-row product to gemv, which rounds differently from the full-batch
+gemm of the composed reference.
 
 Production always runs these kernels: the recurrent layers call the
 ``Tensor`` ops directly, with no dispatch branch.  The composed-op graph
 they replace lives once, as a test reference in
 :mod:`repro.testing.reference`; :func:`use_fused` swaps it in under the op
-names for a block, which is how the differential oracle, the fuzzer and the
-training-parity tests compare the two.  Forward values are bitwise
-identical and gradients agree to ~1e-12 (they differ only in
-floating-point summation order inside backward).
+names for a block, which is how the differential oracle
+(:mod:`repro.testing.oracle`, whose case table covers every op registered
+here), the fuzzer and the training-parity tests compare the two.  Forward
+values are bitwise identical (the kernels call ``Tensor.sigmoid``'s own
+forward, ``_sigmoid``) and gradients agree to ~1e-12 (they differ only
+in floating-point summation order inside backward).
 
 The ops are registered on :class:`Tensor` via
 :func:`repro.nn.tensor.register_custom_op` so the opt-in op profiler
@@ -38,9 +38,10 @@ The ops are registered on :class:`Tensor` via
 ``lstm_cell_fused`` / ``gru_cell_fused``.
 
 Serving runs the same ops: inside a float32 inference block
-(``Module.infer``) the scans receive float32 inputs and run the tape-free
-kernels of :mod:`repro.nn.inference` instead, and :func:`bilstm_scan`
-runs a Bi-LSTM's two directions as one packed scan.
+(``Module.infer``) the cells compute in float32 as they are, the scans
+receive float32 inputs and run the tape-free kernels of
+:mod:`repro.nn.inference` instead, and :func:`bilstm_scan` runs a
+Bi-LSTM's two directions as one packed scan.
 """
 
 from __future__ import annotations
@@ -60,8 +61,6 @@ __all__ = [
     "bilstm_scan",
     "use_fused",
     "zero_state",
-    "ORACLE_CASES",
-    "register_oracle_case",
 ]
 
 # ----------------------------------------------------------------------
@@ -126,19 +125,6 @@ def zero_state(*shape: int, dtype=np.float64) -> Tensor:
 
 
 # ----------------------------------------------------------------------
-# Shared numerics.  _sigmoid is Tensor.sigmoid's own forward, so fused and
-# composed forwards are bitwise equal.
-# ----------------------------------------------------------------------
-
-
-def _keep_column(mask_t) -> np.ndarray | None:
-    """(B, 1) float 0/1 column for a (B,) step mask, or None."""
-    if mask_t is None:
-        return None
-    return np.asarray(mask_t, dtype=np.float64)[:, None]
-
-
-# ----------------------------------------------------------------------
 # Fused LSTM step
 # ----------------------------------------------------------------------
 
@@ -147,7 +133,6 @@ def lstm_cell_fused(
     gates: Tensor,
     h_prev: Tensor,
     c_prev: Tensor,
-    mask_t: np.ndarray | None = None,
 ) -> tuple[Tensor, Tensor]:
     """One LSTM timestep as a fused autograd node pair.
 
@@ -158,8 +143,6 @@ def lstm_cell_fused(
         packed ``[input, forget, cell, output]`` along the last axis.
     h_prev, c_prev:
         (B, H) previous hidden and cell state.
-    mask_t:
-        Optional (B,) validity mask; padded rows carry the previous state.
 
     Returns
     -------
@@ -183,13 +166,6 @@ def lstm_cell_fused(
     c_new = f * c_prev.data + i * g
     tanh_c = np.tanh(c_new)
     h_new = o * tanh_c
-
-    keep = _keep_column(mask_t)
-    if keep is None:
-        h_out, c_out = h_new, c_new
-    else:
-        h_out = h_new * keep + h_prev.data * (1.0 - keep)
-        c_out = c_new * keep + c_prev.data * (1.0 - keep)
     parents = (gates, h_prev, c_prev)
 
     # The local gate derivatives are identical for both output closures, so
@@ -210,9 +186,6 @@ def lstm_cell_fused(
         return factors
 
     def backward_h(grad: np.ndarray) -> None:
-        if keep is not None:
-            h_prev._accumulate_owned(grad * (1.0 - keep))
-            grad = grad * keep
         factors = _factors()
         dc = grad * o
         dc *= 1.0 - tanh_c * tanh_c
@@ -226,9 +199,6 @@ def lstm_cell_fused(
         c_prev._accumulate_owned(dc)
 
     def backward_c(grad: np.ndarray) -> None:
-        if keep is not None:
-            c_prev._accumulate_owned(grad * (1.0 - keep))
-            grad = grad * keep
         factors = _factors()
         dgates = np.empty_like(z)
         np.multiply(factors[:, :hs], grad, out=dgates[:, :hs])
@@ -239,8 +209,8 @@ def lstm_cell_fused(
         c_prev._accumulate_owned(grad * f)
 
     return (
-        Tensor._make(h_out, parents, backward_h),
-        Tensor._make(c_out, parents, backward_c),
+        Tensor._make(h_new, parents, backward_h),
+        Tensor._make(c_new, parents, backward_c),
     )
 
 
@@ -253,7 +223,6 @@ def gru_cell_fused(
     gi: Tensor,
     gh: Tensor,
     h_prev: Tensor,
-    mask_t: np.ndarray | None = None,
 ) -> Tensor:
     """One GRU timestep as a single fused autograd node.
 
@@ -268,8 +237,6 @@ def gru_cell_fused(
         half: ``n = tanh(gi_n + r * gh_n)``).
     h_prev:
         (B, H) previous hidden state.
-    mask_t:
-        Optional (B,) validity mask; padded rows carry the previous state.
     """
     gi = as_tensor(gi)
     gh = as_tensor(gh)
@@ -285,13 +252,7 @@ def gru_cell_fused(
     n = np.tanh(a[:, 2 * hs :] + r * gh_n)
     h_new = (1.0 - u) * n + u * h_prev.data
 
-    keep = _keep_column(mask_t)
-    h_out = h_new if keep is None else h_new * keep + h_prev.data * (1.0 - keep)
-
     def backward(grad: np.ndarray) -> None:
-        if keep is not None:
-            h_prev._accumulate_owned(grad * (1.0 - keep))
-            grad = grad * keep
         dpre_n = grad * (1.0 - u)
         dpre_n *= 1.0 - n * n
         du = grad * (h_prev.data - n)
@@ -312,7 +273,7 @@ def gru_cell_fused(
         gh._accumulate_owned(dgh)
         h_prev._accumulate_owned(grad * u)
 
-    return Tensor._make(h_out, (gi, gh, h_prev), backward)
+    return Tensor._make(h_new, (gi, gh, h_prev), backward)
 
 
 # ----------------------------------------------------------------------
@@ -585,133 +546,3 @@ register_custom_op("gru_cell_fused", gru_cell_fused)
 register_custom_op("lstm_scan_fused", lstm_scan_fused)
 register_custom_op("gru_scan_fused", gru_scan_fused)
 register_custom_op("bilstm_scan", bilstm_scan)
-
-
-# ----------------------------------------------------------------------
-# Differential-oracle registration.  Every fused kernel registers a case
-# that builds random inputs and a function calling its ``Tensor`` op: run
-# as is it takes the fused kernel, under ``use_fused(False)`` the composed
-# reference of ``repro.testing.reference``.  The engine in
-# ``repro.testing.oracle`` replays these cases under both plus a
-# finite-difference oracle; register a case here whenever a new fused op
-# lands so it is covered automatically.
-#
-# A case factory maps an ``np.random.Generator`` to
-# ``(fn, input_arrays, input_names)``.
-# ----------------------------------------------------------------------
-
-ORACLE_CASES: dict[str, "object"] = {}
-
-
-def register_oracle_case(name: str, build) -> None:
-    """Register the differential-test case factory for a fused kernel."""
-    ORACLE_CASES[name] = build
-
-
-def _step_mask(rng: np.random.Generator, batch: int) -> np.ndarray:
-    mask = rng.random(batch) < 0.75
-    mask[0] = True  # keep at least one live row so gradients are nonzero
-    return mask
-
-
-def _build_lstm_cell_case(rng):
-    batch, hidden = 3, 4
-    gates = rng.normal(size=(batch, 4 * hidden)) * 0.8
-    h0 = rng.normal(size=(batch, hidden)) * 0.5
-    c0 = rng.normal(size=(batch, hidden)) * 0.5
-    mask = _step_mask(rng, batch)
-
-    def fn(gates_t, h_t, c_t):
-        return Tensor.lstm_cell_fused(gates_t, h_t, c_t, mask)
-
-    return fn, (gates, h0, c0), ("gates", "h_prev", "c_prev")
-
-
-def _build_gru_cell_case(rng):
-    batch, hidden = 3, 4
-    gi = rng.normal(size=(batch, 3 * hidden)) * 0.8
-    gh = rng.normal(size=(batch, 3 * hidden)) * 0.8
-    h0 = rng.normal(size=(batch, hidden)) * 0.5
-    mask = _step_mask(rng, batch)
-
-    def fn(gi_t, gh_t, h_t):
-        return Tensor.gru_cell_fused(gi_t, gh_t, h_t, mask)
-
-    return fn, (gi, gh, h0), ("gi", "gh", "h_prev")
-
-
-def _scan_mask(rng, batch: int, time: int) -> np.ndarray:
-    mask = rng.random((batch, time)) < 0.8
-    mask[:, 0] = True
-    return mask
-
-
-def _build_lstm_scan_case(rng):
-    batch, time, hidden = 2, 4, 3
-    gi = rng.normal(size=(batch, time, 4 * hidden)) * 0.8
-    w_hh = rng.normal(size=(4 * hidden, hidden)) * 0.4
-    mask = _scan_mask(rng, batch, time)
-
-    def fn(gi_t, w_t):
-        return Tensor.lstm_scan_fused(gi_t, w_t, mask)
-
-    return fn, (gi, w_hh), ("gi", "w_hh")
-
-
-def _build_gru_scan_case(rng):
-    batch, time, hidden = 2, 4, 3
-    gi = rng.normal(size=(batch, time, 3 * hidden)) * 0.8
-    w_hh = rng.normal(size=(3 * hidden, hidden)) * 0.4
-    mask = _scan_mask(rng, batch, time)
-
-    def fn(gi_t, w_t):
-        return Tensor.gru_scan_fused(gi_t, w_t, mask)
-
-    return fn, (gi, w_hh), ("gi", "w_hh")
-
-
-def _topic_mask(rng) -> np.ndarray:
-    """(8, 5) mask shaped like the per-topic histories of a training batch.
-
-    Valid steps form a prefix (``_topic_slots`` fills slot 0 first), 40% of
-    the pairs are valid, two rows are entirely dead, and the last two steps
-    each have one lone live row.
-    """
-    lengths = rng.permutation([5, 3, 3, 2, 2, 1, 0, 0])
-    return np.arange(5) < lengths[:, None]
-
-
-def _scan_topic_case(op: str, factor: int):
-    def build(rng):
-        hidden = 4
-        mask = _topic_mask(rng)
-        gi = rng.normal(size=(*mask.shape, factor * hidden)) * 0.8
-        w_hh = rng.normal(size=(factor * hidden, hidden)) * 0.4
-
-        def fn(gi_t, w_t):
-            return getattr(Tensor, op)(gi_t, w_t, mask)
-
-        return fn, (gi, w_hh), ("gi", "w_hh")
-
-    return build
-
-
-def _build_bilstm_scan_case(rng):
-    batch, time, hidden = 2, 4, 3
-    gi_f, gi_b = rng.normal(size=(2, batch, time, 4 * hidden)) * 0.8
-    w_f, w_b = rng.normal(size=(2, 4 * hidden, hidden)) * 0.4
-    mask = _scan_mask(rng, batch, time)
-
-    def fn(gi_f_t, gi_b_t, w_f_t, w_b_t):
-        return Tensor.bilstm_scan(gi_f_t, gi_b_t, w_f_t, w_b_t, mask)
-
-    return fn, (gi_f, gi_b, w_f, w_b), ("gi_f", "gi_b", "w_hh_f", "w_hh_b")
-
-
-register_oracle_case("lstm_cell_fused", _build_lstm_cell_case)
-register_oracle_case("gru_cell_fused", _build_gru_cell_case)
-register_oracle_case("lstm_scan_fused", _build_lstm_scan_case)
-register_oracle_case("gru_scan_fused", _build_gru_scan_case)
-register_oracle_case("lstm_scan_topic", _scan_topic_case("lstm_scan_fused", 4))
-register_oracle_case("gru_scan_topic", _scan_topic_case("gru_scan_fused", 3))
-register_oracle_case("bilstm_scan", _build_bilstm_scan_case)

@@ -18,7 +18,6 @@ __all__ = [
     "pairwise_hinge",
     "pairwise_bpr",
     "listwise_softmax_ce",
-    "attention_rank_loss",
 ]
 
 
@@ -97,10 +96,3 @@ def listwise_softmax_ce(
     per_list = -(Tensor(target) * log_probs).sum(axis=-1)
     return per_list.mean()
 
-
-def attention_rank_loss(
-    scores: Tensor, clicks: np.ndarray, mask: np.ndarray | None = None
-) -> Tensor:
-    """DLCM's attention rank loss: cross entropy between the softmax of the
-    scores and the softmax-normalized relevance (clicks)."""
-    return listwise_softmax_ce(scores, clicks, mask=mask)

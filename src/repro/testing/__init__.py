@@ -9,7 +9,9 @@ catching such bugs automatically:
 - :mod:`repro.testing.oracle` — differential-testing engine: run any
   function/Module on the fused kernels and on their composed references
   plus a central finite-difference oracle, and report max-ulp /
-  relative-error divergence as a structured diff;
+  relative-error divergence as a structured diff.  It holds the one
+  table of fused-kernel cases (``ORACLE_CASES``), replayed both in
+  float64 against the references and in float32 on the serving path;
 - :mod:`repro.testing.reference` — the composed-op LSTM/GRU cell and scan
   graphs the fused kernels replace (``repro.nn.kernels.use_fused(False)``
   installs them under the fused op names for a block), the

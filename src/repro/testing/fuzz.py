@@ -186,11 +186,7 @@ def _op_lstm_cell(t, rng, param):
     w = Tensor(rng.normal(size=(cols, 4 * _HIDDEN)) * 0.5)
     h0 = Tensor(rng.normal(size=(batch, _HIDDEN)) * 0.5)
     c0 = Tensor(rng.normal(size=(batch, _HIDDEN)) * 0.5)
-    mask = None
-    if param % 2:
-        mask = rng.random(batch) < 0.75
-        mask[0] = True
-    h1, c1 = Tensor.lstm_cell_fused(t @ w, h0, c0, mask)
+    h1, c1 = Tensor.lstm_cell_fused(t @ w, h0, c0)
     return h1 + c1 * 0.5
 
 
@@ -199,11 +195,7 @@ def _op_gru_cell(t, rng, param):
     w_i = Tensor(rng.normal(size=(cols, 3 * _HIDDEN)) * 0.5)
     w_h = Tensor(rng.normal(size=(cols, 3 * _HIDDEN)) * 0.5)
     h0 = Tensor(rng.normal(size=(batch, _HIDDEN)) * 0.5)
-    mask = None
-    if param % 2:
-        mask = rng.random(batch) < 0.75
-        mask[0] = True
-    return Tensor.gru_cell_fused(t @ w_i, t @ w_h, h0, mask)
+    return Tensor.gru_cell_fused(t @ w_i, t @ w_h, h0)
 
 
 def _scan_inputs(t, rng, gates_per_step: int):

@@ -10,10 +10,15 @@ structured diff that names the op and the quantity that diverged, which is
 what turns "the loss is wrong" into "``lstm_cell_fused`` backward, input
 ``gates``, 3.2e-1 relative error".
 
-The fused kernels register their own randomized test cases in
-``repro.nn.kernels.ORACLE_CASES``; :func:`check_all_kernels` replays them
-all, so any new fused op is covered by adding one registration next to its
-definition.
+One case table, :data:`ORACLE_CASES`, holds a randomized case for every op
+that ``repro.nn.kernels`` registers on :class:`Tensor` (plus topic-shaped
+masks for the scans).  Each case is replayed twice: :func:`check_all_kernels`
+runs it fused vs composed vs finite differences in float64, and
+:func:`check_all_infer_kernels` runs the same ``fn`` on float32 Tensors
+inside ``infer_mode`` — the serving path, where the scan ops dispatch by
+dtype to ``repro.nn.inference`` — against its float64 forward.  A new fused
+op needs one table entry; ``tests/test_testing_oracle.py`` fails by name
+without it.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..nn.kernels import use_fused
-from ..nn.tensor import Tensor
+from ..nn.tensor import Tensor, infer_mode, no_grad, use_infer
 
 __all__ = [
     "DiffRow",
@@ -40,6 +45,7 @@ __all__ = [
     "check_all_kernels",
     "check_infer_kernel",
     "check_all_infer_kernels",
+    "ORACLE_CASES",
 ]
 
 
@@ -346,13 +352,22 @@ def _run_forward_only(
     arrays: Sequence[np.ndarray],
 ) -> tuple[list[np.ndarray], None]:
     """Forward values of ``fn`` on the fused path without building a graph."""
-    from ..nn.tensor import no_grad
-
     tensors = [Tensor(a) for a in arrays]
     with no_grad(), use_fused(True):
         out = fn(*tensors)
     outputs = list(out) if isinstance(out, tuple) else [out]
     return [o.data for o in outputs], None
+
+
+def _run_infer(
+    fn: Callable[..., Tensor | tuple[Tensor, ...]],
+    arrays: Sequence[np.ndarray],
+) -> list[np.ndarray]:
+    """Forward values of ``fn`` on float32 Tensors inside an inference block."""
+    with use_fused(True), use_infer(True), infer_mode():
+        out = fn(*[Tensor(a) for a in arrays])
+    outputs = list(out) if isinstance(out, tuple) else [out]
+    return [o.data for o in outputs]
 
 
 def assert_equivalent(
@@ -368,29 +383,115 @@ def assert_equivalent(
     return report
 
 
-def check_kernel(name: str, seed: int = 0, **tolerances) -> DiffReport:
-    """Run the registered oracle case for one fused kernel.
+# ----------------------------------------------------------------------
+# Kernel cases.  A case factory maps an ``np.random.Generator`` to
+# ``(fn, input_arrays, input_names)``; ``fn`` looks the op up on
+# ``Tensor`` when it runs, so the one case reaches the fused kernel, the
+# composed reference under ``use_fused(False)`` and, on float32 Tensors,
+# the serving kernels.
+# ----------------------------------------------------------------------
 
-    Cases are registered in ``repro.nn.kernels.ORACLE_CASES`` next to the
-    kernels themselves; ``seed`` feeds the case's input generator.
+
+def _build_lstm_cell_case(rng):
+    batch, hidden = 3, 4
+    gates = rng.normal(size=(batch, 4 * hidden)) * 0.8
+    h0 = rng.normal(size=(batch, hidden)) * 0.5
+    c0 = rng.normal(size=(batch, hidden)) * 0.5
+
+    def fn(gates_t, h_t, c_t):
+        return Tensor.lstm_cell_fused(gates_t, h_t, c_t)
+
+    return fn, (gates, h0, c0), ("gates", "h_prev", "c_prev")
+
+
+def _build_gru_cell_case(rng):
+    batch, hidden = 3, 4
+    gi = rng.normal(size=(batch, 3 * hidden)) * 0.8
+    gh = rng.normal(size=(batch, 3 * hidden)) * 0.8
+    h0 = rng.normal(size=(batch, hidden)) * 0.5
+
+    def fn(gi_t, gh_t, h_t):
+        return Tensor.gru_cell_fused(gi_t, gh_t, h_t)
+
+    return fn, (gi, gh, h0), ("gi", "gh", "h_prev")
+
+
+def _scan_mask(rng, batch: int = 2, time: int = 4) -> np.ndarray:
+    mask = rng.random((batch, time)) < 0.8
+    mask[:, 0] = True
+    return mask
+
+
+def _topic_mask(rng) -> np.ndarray:
+    """(8, 5) mask shaped like the per-topic histories of a training batch.
+
+    Valid steps form a prefix (``_topic_slots`` fills slot 0 first), 40% of
+    the pairs are valid, two rows are entirely dead, and the last two steps
+    each have one lone live row.
     """
-    from ..nn.kernels import ORACLE_CASES
+    lengths = rng.permutation([5, 3, 3, 2, 2, 1, 0, 0])
+    return np.arange(5) < lengths[:, None]
 
+
+def _scan_case(op: str, factor: int, mask_of, hidden: int):
+    def build(rng):
+        mask = mask_of(rng)
+        gi = rng.normal(size=(*mask.shape, factor * hidden)) * 0.8
+        w_hh = rng.normal(size=(factor * hidden, hidden)) * 0.4
+
+        def fn(gi_t, w_t):
+            return getattr(Tensor, op)(gi_t, w_t, mask)
+
+        return fn, (gi, w_hh), ("gi", "w_hh")
+
+    return build
+
+
+def _build_bilstm_scan_case(rng):
+    batch, time, hidden = 2, 4, 3
+    gi_f, gi_b = rng.normal(size=(2, batch, time, 4 * hidden)) * 0.8
+    w_f, w_b = rng.normal(size=(2, 4 * hidden, hidden)) * 0.4
+    mask = _scan_mask(rng, batch, time)
+    mask[1, -1] = False  # padded, so the per-unit reversed mask runs in float32
+
+    def fn(gi_f_t, gi_b_t, w_f_t, w_b_t):
+        return Tensor.bilstm_scan(gi_f_t, gi_b_t, w_f_t, w_b_t, mask)
+
+    return fn, (gi_f, gi_b, w_f, w_b), ("gi_f", "gi_b", "w_hh_f", "w_hh_b")
+
+
+ORACLE_CASES = {
+    "lstm_cell_fused": _build_lstm_cell_case,
+    "gru_cell_fused": _build_gru_cell_case,
+    "lstm_scan_fused": _scan_case("lstm_scan_fused", 4, _scan_mask, 3),
+    "gru_scan_fused": _scan_case("gru_scan_fused", 3, _scan_mask, 3),
+    "lstm_scan_topic": _scan_case("lstm_scan_fused", 4, _topic_mask, 4),
+    "gru_scan_topic": _scan_case("gru_scan_fused", 3, _topic_mask, 4),
+    "bilstm_scan": _build_bilstm_scan_case,
+}
+
+
+def _build_case(name: str, seed: int):
     if name not in ORACLE_CASES:
         raise KeyError(
-            f"no oracle case registered for {name!r}; "
-            f"known: {sorted(ORACLE_CASES)}"
+            f"no oracle case for {name!r}; known: {sorted(ORACLE_CASES)}"
         )
-    fn, arrays, input_names = ORACLE_CASES[name](np.random.default_rng(seed))
+    return ORACLE_CASES[name](np.random.default_rng(seed))
+
+
+def check_kernel(name: str, seed: int = 0, **tolerances) -> DiffReport:
+    """Run the :data:`ORACLE_CASES` case of one fused kernel.
+
+    ``seed`` feeds the case's input generator.
+    """
+    fn, arrays, input_names = _build_case(name, seed)
     return differential_check(
         fn, arrays, name=name, input_names=input_names, **tolerances
     )
 
 
 def check_all_kernels(seed: int = 0, **tolerances) -> dict[str, DiffReport]:
-    """Replay every registered kernel oracle case; returns reports by name."""
-    from ..nn.kernels import ORACLE_CASES
-
+    """Replay every kernel oracle case; returns reports by name."""
     return {
         name: check_kernel(name, seed=seed, **tolerances)
         for name in sorted(ORACLE_CASES)
@@ -404,16 +505,20 @@ def check_infer_kernel(
     atol: float = 1e-6,
     ulp_budget: float = 256.0,
 ) -> DiffReport:
-    """Replay one inference-twin case against the float64 tape reference.
+    """Replay one kernel case in float32 against its float64 forward.
 
-    Cases are registered in ``repro.nn.inference.INFER_CASES`` next to the
-    kernels themselves.  Two rows per case:
+    The case is the one :func:`check_kernel` builds.  Its ``fn`` runs on
+    float64 Tensors under ``no_grad`` (the reference) and on float32
+    Tensors inside ``infer_mode`` — where the cells compute in float32 and
+    the scan ops dispatch by dtype to the tape-free kernels of
+    ``repro.nn.inference``, exactly as serving runs them.  Two rows per
+    output:
 
-    - ``infer-vs-tape`` — the fast-path output (cast back to float64)
-      against the tape reference under explicit rtol/atol budgets.  The
+    - ``infer-vs-tape`` — the float32 output (cast back to float64)
+      against the reference under explicit rtol/atol budgets.  The
       defaults assume float32: ~100x float32 eps of headroom at O(1)
       magnitudes;
-    - ``infer-vs-tape (ulp)`` — ULP distance on the inference-dtype grid
+    - ``infer-vs-tape (ulp)`` — ULP distance on the float32 grid
       (:func:`max_ulp_diff_in_dtype`), applied only where the absolute
       difference exceeds a few dtype eps.  ULP spacing shrinks with
       magnitude, so outputs that cancel toward zero (dot products,
@@ -423,79 +528,29 @@ def check_infer_kernel(
       enough that a structural bug — wrong gate order, dropped mask,
       which produce O(1) absolute differences — cannot hide.
     """
-    from ..nn import inference
-
-    if name not in inference.INFER_CASES:
-        raise KeyError(
-            f"no inference-twin case registered for {name!r}; "
-            f"known: {sorted(inference.INFER_CASES)}"
-        )
-    build = inference.INFER_CASES[name]
-    reference_fn, infer_fn, arrays, _ = build(np.random.default_rng(seed))
+    fn, arrays, _ = _build_case(name, seed)
+    reference, _ = _run_forward_only(fn, arrays)
+    fast = _run_infer(fn, arrays)
     dtype = np.dtype(np.float32)
-    reference = reference_fn(
-        *[np.array(a, dtype=np.float64, copy=True) for a in arrays]
-    )
-    fast = infer_fn(*[np.asarray(a).astype(dtype) for a in arrays])
-    report = DiffReport(f"{name} (dispatch=infer, {dtype})")
-    report.rows.append(
-        compare_arrays("infer-vs-tape", np.asarray(fast, dtype=np.float64),
-                       np.asarray(reference), rtol, atol)
-    )
     # Escape floor below the magnitude row's own atol: any position it
     # excuses is already bounded tighter by the rtol/atol row above.
     zero_atol = float(16 * np.finfo(dtype).eps)
-    ulp = max_ulp_diff_in_dtype(reference, fast, dtype, zero_atol=zero_atol)
-    report.rows.append(
-        DiffRow(
-            "infer-vs-tape (ulp)",
-            np.asarray(reference).shape,
-            0.0,
-            0.0,
-            ulp,
-            0.0,
-            ulp_budget,  # atol column doubles as the ULP budget here
-            ulp <= ulp_budget,
+    report = DiffReport(f"{name} (dispatch=infer, {dtype})")
+    for i, (ref, out) in enumerate(zip(reference, fast)):
+        label = "infer-vs-tape" if len(fast) == 1 else f"forward[{i}] infer-vs-tape"
+        report.rows.append(compare_arrays(label, out, ref, rtol, atol))
+        ulp = max_ulp_diff_in_dtype(ref, out, dtype, zero_atol=zero_atol)
+        # The atol column doubles as the ULP budget here.
+        report.rows.append(
+            DiffRow(f"{label} (ulp)", ref.shape, 0.0, 0.0, ulp, 0.0,
+                    ulp_budget, ulp <= ulp_budget)
         )
-    )
     return report
 
 
-# Per-kernel ULP budgets (over the near-zero escape in
-# :func:`check_infer_kernel`).  The default covers honest float32
-# rounding through a handful of dependent operations; the recurrent
-# scans accumulate rounding across every timestep *and* feed each step's
-# rounded hidden state back into the next, so their drift compounds —
-# still orders of magnitude below the millions of ULPs a structural bug
-# produces.
-INFER_ULP_DEFAULT_BUDGET = 256.0
-INFER_ULP_BUDGETS: dict[str, float] = {
-    "lstm_scan_fused": 4096.0,
-    "gru_scan_fused": 4096.0,
-    "bilstm_scan": 4096.0,
-}
-
-
 def check_all_infer_kernels(seed: int = 0, **budgets) -> dict[str, DiffReport]:
-    """Replay every inference-twin case; returns reports by name.
-
-    Also asserts coverage: every fused kernel in ``ORACLE_CASES`` must have
-    an inference twin, so adding a fused kernel without one fails loudly.
-    """
-    from ..nn import inference
-    from ..nn.kernels import ORACLE_CASES
-
-    missing = sorted(set(ORACLE_CASES) - set(inference.INFER_CASES))
-    if missing:
-        raise KeyError(
-            f"fused kernels without an inference-twin case: {missing}; "
-            "register one with repro.nn.inference.register_infer_case"
-        )
-    reports = {}
-    for name in sorted(inference.INFER_CASES):
-        kwargs = dict(budgets)
-        kwargs.setdefault(
-            "ulp_budget", INFER_ULP_BUDGETS.get(name, INFER_ULP_DEFAULT_BUDGET)
-        )
-        reports[name] = check_infer_kernel(name, seed=seed, **kwargs)
-    return reports
+    """Replay every kernel oracle case in float32; returns reports by name."""
+    return {
+        name: check_infer_kernel(name, seed=seed, **budgets)
+        for name in sorted(ORACLE_CASES)
+    }

@@ -1,6 +1,6 @@
 """Shared utilities: RNG management and validation."""
 
-from .rng import make_rng, spawn_rngs
+from .rng import make_rng
 from .validation import check_in_range, check_positive, check_probability_matrix
 
 __all__ = [
@@ -8,5 +8,4 @@ __all__ = [
     "check_positive",
     "check_probability_matrix",
     "make_rng",
-    "spawn_rngs",
 ]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["make_rng", "spawn_rngs"]
+__all__ = ["make_rng"]
 
 
 def make_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
@@ -13,8 +13,3 @@ def make_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
         return seed
     return np.random.default_rng(seed)
 
-
-def spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
-    """Derive ``count`` independent generators from a single seed."""
-    seq = np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in seq.spawn(count)]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.data import ratio_split, train_test_split
+from repro.data import train_test_split
 
 
 class TestTrainTestSplit:
@@ -27,26 +27,3 @@ class TestTrainTestSplit:
         with pytest.raises(ValueError):
             train_test_split([1], test_fraction=0.5)
 
-
-class TestRatioSplit:
-    def test_paper_ratio(self):
-        pieces = ratio_split(list(range(100)), [2, 3, 4, 1])
-        assert [len(p) for p in pieces] == [20, 30, 40, 10]
-        assert sum(pieces, []) == list(range(100))
-
-    def test_every_partition_nonempty(self):
-        pieces = ratio_split(list(range(5)), [1, 1, 1, 1, 1])
-        assert all(len(p) >= 1 for p in pieces)
-
-    def test_order_preserved(self):
-        pieces = ratio_split(list(range(10)), [1, 1])
-        assert pieces[0] == list(range(5))
-        assert pieces[1] == list(range(5, 10))
-
-    def test_too_few_items_raise(self):
-        with pytest.raises(ValueError):
-            ratio_split([1, 2], [1, 1, 1])
-
-    def test_nonpositive_ratio_raises(self):
-        with pytest.raises(ValueError):
-            ratio_split([1, 2, 3], [1, 0])

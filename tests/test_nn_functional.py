@@ -77,10 +77,6 @@ class TestBinaryCrossEntropy:
 
 
 class TestMiscFunctional:
-    def test_mse_loss(self):
-        pred = Tensor(np.array([1.0, 2.0]))
-        assert F.mse_loss(pred, np.array([1.0, 4.0])).item() == pytest.approx(2.0)
-
     def test_dropout_identity_in_eval(self):
         rng = np.random.default_rng(0)
         x = Tensor(np.ones((10, 10)))

@@ -3,8 +3,9 @@
 Covers the ``use_infer`` test selector, the eval semantics of inference
 blocks, served weights tracking parameter updates, layer ``infer`` parity
 against the tape path (bitwise under ``use_infer(False)``, bounded drift
-in float32), the differential oracle's scan-kernel cases, ``no_grad``
-reentrancy/thread-safety, and the ``ResilientReranker.warmup`` hook.
+in float32), the float32 replay of the differential oracle's kernel
+cases, ``no_grad`` reentrancy/thread-safety, and the
+``ResilientReranker.warmup`` hook.
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ import repro.nn as nn
 import repro.nn.functional as F
 from repro.nn import inference
 from repro.nn.tensor import Tensor, is_grad_enabled, is_inferring, no_grad
+from repro.testing import oracle
 from repro.testing.oracle import (
+    ORACLE_CASES,
     check_all_infer_kernels,
     check_infer_kernel,
     max_ulp_diff_in_dtype,
@@ -284,7 +287,7 @@ def test_module_infer_fallback_is_tape_identical():
 
 
 # ----------------------------------------------------------------------
-# Differential oracle: inference twins
+# Differential oracle: the kernel cases replayed in float32
 # ----------------------------------------------------------------------
 
 
@@ -295,58 +298,50 @@ def test_oracle_infer_twins_pass(seed):
         assert report.passed, f"{name} (seed {seed}):\n{report.format()}"
 
 
-def test_oracle_infer_twins_cover_all_fused_kernels():
-    from repro.nn.kernels import ORACLE_CASES
-
-    assert set(ORACLE_CASES) <= set(inference.INFER_CASES)
-
-
-def test_oracle_coverage_assertion_fires():
-    from repro.nn.kernels import ORACLE_CASES
-
-    ORACLE_CASES["fake_fused_kernel"] = object()
-    try:
-        with pytest.raises(KeyError, match="fake_fused_kernel"):
-            check_all_infer_kernels()
-    finally:
-        del ORACLE_CASES["fake_fused_kernel"]
-
-
 def test_check_infer_kernel_unknown_name():
-    with pytest.raises(KeyError, match="no inference-twin"):
+    with pytest.raises(KeyError, match="no oracle case"):
         check_infer_kernel("not_a_kernel")
+
+
+def _float32_ulp(name, mutate, seed=0):
+    """ULP distance from a case's float64 forward to its float32 replay
+    with the case's ``fn`` replaced by ``mutate(fn)``."""
+    fn, arrays, _ = ORACLE_CASES[name](np.random.default_rng(seed))
+    reference, _ = oracle._run_forward_only(fn, arrays)
+    (bad,) = oracle._run_infer(mutate(fn), arrays)
+    dtype = np.dtype(np.float32)
+    zero_atol = float(16 * np.finfo(dtype).eps)
+    return max_ulp_diff_in_dtype(reference[0], bad, dtype, zero_atol=zero_atol)
 
 
 def test_oracle_catches_structural_bug():
     """A wrong gate order must blow the ULP budget, not hide in tolerance."""
-    build = inference.INFER_CASES["lstm_scan_fused"]
-    reference_fn, infer_fn, arrays, _ = build(np.random.default_rng(0))
-    dtype = np.dtype(np.float32)
-    reference = reference_fn(*[np.array(a, dtype=np.float64) for a in arrays])
-    cast = [np.asarray(a).astype(dtype) for a in arrays]
-    gates = cast[0]
-    hidden = gates.shape[-1] // 4
-    # Swap the input and forget gate blocks — a classic porting bug.
-    swapped = np.concatenate(
-        [gates[..., hidden : 2 * hidden], gates[..., :hidden], gates[..., 2 * hidden :]],
-        axis=-1,
-    )
-    bad = infer_fn(swapped, *cast[1:])
-    zero_atol = float(16 * np.finfo(dtype).eps)
-    ulp = max_ulp_diff_in_dtype(reference, bad, dtype, zero_atol=zero_atol)
-    assert ulp > 1e6
+
+    def swap_input_forget(fn):
+        def bad(gi, w_hh):
+            hidden = gi.shape[-1] // 4
+            # Swap the input and forget gate blocks — a classic porting bug.
+            swapped = Tensor.concatenate(
+                [gi[:, :, hidden : 2 * hidden], gi[:, :, :hidden],
+                 gi[:, :, 2 * hidden :]],
+                axis=2,
+            )
+            return fn(swapped, w_hh)
+
+        return bad
+
+    assert _float32_ulp("lstm_scan_fused", swap_input_forget) > 1e6
 
 
 def test_bilstm_oracle_case_is_padded():
-    """The packed kernel's case pads, so a dropped mask blows the budget."""
-    build = inference.INFER_CASES["bilstm_scan"]
-    reference_fn, _, arrays, _ = build(np.random.default_rng(0))
-    dtype = np.dtype(np.float32)
-    reference = reference_fn(*[np.array(a, dtype=np.float64) for a in arrays])
-    unmasked = inference.bilstm_scan_infer(*[a.astype(dtype) for a in arrays])
-    zero_atol = float(16 * np.finfo(dtype).eps)
-    ulp = max_ulp_diff_in_dtype(reference, unmasked, dtype, zero_atol=zero_atol)
-    assert ulp > 1e6
+    """The packed kernel's case pads for every seed (seed 9 draws an
+    all-true random mask), so a dropped mask blows the budget."""
+
+    def drop_mask(fn):
+        return Tensor.bilstm_scan  # mask defaults to None
+
+    for seed in range(10):
+        assert _float32_ulp("bilstm_scan", drop_mask, seed) > 1e6, seed
 
 
 def test_max_ulp_diff_in_dtype_basics():

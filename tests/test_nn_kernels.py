@@ -33,7 +33,7 @@ def _random_case(rng, batch, hidden, factor, scale=1.0):
     return gates, h, c
 
 
-def _composed_lstm(gates: Tensor, h: Tensor, c: Tensor, mask_t=None):
+def _composed_lstm(gates: Tensor, c: Tensor):
     hs = gates.shape[-1] // 4
     i = gates[:, :hs].sigmoid()
     f = gates[:, hs : 2 * hs].sigmoid()
@@ -41,23 +41,15 @@ def _composed_lstm(gates: Tensor, h: Tensor, c: Tensor, mask_t=None):
     o = gates[:, 3 * hs :].sigmoid()
     c_next = f * c + i * g
     h_next = o * c_next.tanh()
-    if mask_t is not None:
-        keep = Tensor(mask_t.astype(np.float64)[:, None])
-        h_next = h_next * keep + h * (Tensor(1.0) - keep)
-        c_next = c_next * keep + c * (Tensor(1.0) - keep)
     return h_next, c_next
 
 
-def _composed_gru(gi: Tensor, gh: Tensor, h: Tensor, mask_t=None):
+def _composed_gru(gi: Tensor, gh: Tensor, h: Tensor):
     hs = gi.shape[-1] // 3
     r = (gi[:, :hs] + gh[:, :hs]).sigmoid()
     z = (gi[:, hs : 2 * hs] + gh[:, hs : 2 * hs]).sigmoid()
     n = (gi[:, 2 * hs :] + r * gh[:, 2 * hs :]).tanh()
-    h_next = (1.0 - z) * n + z * h
-    if mask_t is not None:
-        keep = Tensor(mask_t.astype(np.float64)[:, None])
-        h_next = h_next * keep + h * (Tensor(1.0) - keep)
-    return h_next
+    return (1.0 - z) * n + z * h
 
 
 def _loss(h: Tensor, c: Tensor | None = None) -> Tensor:
@@ -86,46 +78,16 @@ class TestLSTMCellFusedGradcheck:
         gates_c = Tensor(gates_d, requires_grad=True)
         h_c = Tensor(h_d, requires_grad=True)
         c_c = Tensor(c_d, requires_grad=True)
-        hc, cc = _composed_lstm(gates_c, h_c, c_c)
+        hc, cc = _composed_lstm(gates_c, c_c)
         _loss(hc, cc).backward()
 
         assert np.array_equal(hf.numpy(), hc.numpy())
         assert np.array_equal(cf.numpy(), cc.numpy())
         assert np.allclose(gates_f.grad, gates_c.grad, atol=1e-8)
         assert np.allclose(c_f.grad, c_c.grad, atol=1e-8)
-        # Without a mask, h_prev only feeds the step through the (external)
-        # recurrent matmul, so no gradient reaches it from the cell itself.
+        # h_prev only feeds the step through the (external) recurrent
+        # matmul, so no gradient reaches it from the cell itself.
         assert h_f.grad is None and h_c.grad is None
-
-    @pytest.mark.parametrize("masked_rows", [0, 1, 2])
-    def test_masked_steps_match_composed(self, masked_rows):
-        rng = np.random.default_rng(7 + masked_rows)
-        gates_d, h_d, c_d = _random_case(rng, 4, 3, 4)
-        mask = np.ones(4, dtype=bool)
-        mask[:masked_rows] = False
-
-        gates_f = Tensor(gates_d, requires_grad=True)
-        h_f = Tensor(h_d, requires_grad=True)
-        c_f = Tensor(c_d, requires_grad=True)
-        hf, cf = lstm_cell_fused(gates_f, h_f, c_f, mask)
-        _loss(hf, cf).backward()
-
-        gates_c = Tensor(gates_d, requires_grad=True)
-        h_c = Tensor(h_d, requires_grad=True)
-        c_c = Tensor(c_d, requires_grad=True)
-        hc, cc = _composed_lstm(gates_c, h_c, c_c, mask)
-        _loss(hc, cc).backward()
-
-        assert np.array_equal(hf.numpy(), hc.numpy())
-        assert np.array_equal(cf.numpy(), cc.numpy())
-        assert np.allclose(gates_f.grad, gates_c.grad, atol=1e-8)
-        assert np.allclose(h_f.grad, h_c.grad, atol=1e-8)
-        assert np.allclose(c_f.grad, c_c.grad, atol=1e-8)
-        # Padded rows pass their gradient through to the previous state.
-        if masked_rows:
-            assert np.array_equal(
-                np.asarray(gates_f.grad)[:masked_rows], 0.0 * gates_d[:masked_rows]
-            )
 
     def test_finite_difference_gradient(self):
         rng = np.random.default_rng(11)
@@ -182,27 +144,6 @@ class TestGRUCellFusedGradcheck:
         _loss(hc).backward()
 
         assert np.array_equal(hf.numpy(), hc.numpy())
-        assert np.allclose(gi_f.grad, gi_c.grad, atol=1e-8)
-        assert np.allclose(gh_f.grad, gh_c.grad, atol=1e-8)
-        assert np.allclose(h_f.grad, h_c.grad, atol=1e-8)
-
-    def test_masked_steps_match_composed(self):
-        rng = np.random.default_rng(23)
-        gi_d = rng.normal(size=(4, 9))
-        gh_d = rng.normal(size=(4, 9))
-        h_d = rng.normal(size=(4, 3))
-        mask = np.array([False, True, False, True])
-
-        gi_f = Tensor(gi_d, requires_grad=True)
-        gh_f = Tensor(gh_d, requires_grad=True)
-        h_f = Tensor(h_d, requires_grad=True)
-        _loss(gru_cell_fused(gi_f, gh_f, h_f, mask)).backward()
-
-        gi_c = Tensor(gi_d, requires_grad=True)
-        gh_c = Tensor(gh_d, requires_grad=True)
-        h_c = Tensor(h_d, requires_grad=True)
-        _loss(_composed_gru(gi_c, gh_c, h_c, mask)).backward()
-
         assert np.allclose(gi_f.grad, gi_c.grad, atol=1e-8)
         assert np.allclose(gh_f.grad, gh_c.grad, atol=1e-8)
         assert np.allclose(h_f.grad, h_c.grad, atol=1e-8)

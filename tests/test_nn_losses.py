@@ -84,10 +84,3 @@ class TestListwise:
         clicks = np.array([[1.0, 1.0]])
         loss = losses.listwise_softmax_ce(scores, clicks).item()
         assert loss == pytest.approx(np.log(2.0), abs=1e-9)
-
-    def test_attention_rank_alias(self):
-        scores = Tensor(np.array([[1.0, 0.0]]))
-        clicks = np.array([[1.0, 0.0]])
-        a = losses.attention_rank_loss(scores, clicks).item()
-        b = losses.listwise_softmax_ce(scores, clicks).item()
-        assert a == b

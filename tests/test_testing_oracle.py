@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn.kernels import ORACLE_CASES
+from repro.nn import kernels, tensor
 from repro.nn.tensor import Tensor
 from repro.testing import (
     DivergenceError,
@@ -16,7 +16,9 @@ from repro.testing import (
     differential_check,
     finite_difference_grad,
     max_ulp_diff,
+    oracle,
 )
+from repro.testing.oracle import ORACLE_CASES
 
 
 class TestMaxUlpDiff:
@@ -108,7 +110,7 @@ class TestDifferentialCheck:
         # A "kernel" that disagrees with its composed reference: the two
         # paths genuinely diverge, which is exactly what the oracle exists
         # to catch.
-        def wrong_kernel(gi, gh, h, mask_t=None):
+        def wrong_kernel(gi, gh, h):
             return gi[:, :2] * 2.0
 
         monkeypatch.setattr(Tensor, "gru_cell_fused", staticmethod(wrong_kernel))
@@ -142,6 +144,23 @@ class TestKernelOracleCases:
         assert set(reports) == set(ORACLE_CASES)
         assert all(r.passed for r in reports.values())
 
+    def test_every_registered_kernel_op_has_a_case(self):
+        # Every op nn/kernels.py installs through register_custom_op must
+        # have a table entry; the float32 replay reuses the same entry.
+        kernel_ops = {
+            name
+            for name in tensor.PROFILED_OPS
+            if getattr(Tensor.__dict__[name], "__module__", None) == kernels.__name__
+        }
+        assert {*kernels._FUSED_OPS, "bilstm_scan"} <= kernel_ops
+        assert kernel_ops <= set(ORACLE_CASES), sorted(kernel_ops - set(ORACLE_CASES))
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+    def test_float32_replay_returns_float32(self, name):
+        fn, arrays, _ = ORACLE_CASES[name](np.random.default_rng(0))
+        outputs = oracle._run_infer(fn, arrays)
+        assert outputs and all(out.dtype == np.float32 for out in outputs)
+
     def test_unknown_kernel_raises_keyerror(self):
         with pytest.raises(KeyError, match="no oracle case"):
             check_kernel("nonexistent_kernel")
@@ -173,7 +192,11 @@ class TestInjectedBugLocalization:
         forward_rows = [r for r in report.rows if r.quantity.startswith("forward")]
         assert all(r.ok for r in forward_rows)
         failing = {r.quantity for r in report.failures}
-        assert "grad[h_prev] fused-vs-composed" in failing
-        assert "grad[h_prev] fused-vs-fd" in failing
+        # h's backward feeds gates and c_prev; the cell sends nothing to
+        # h_prev (only the recurrent matmul outside it does).
+        for quantity in ("gates", "c_prev"):
+            assert f"grad[{quantity}] fused-vs-composed" in failing
+            assert f"grad[{quantity}] fused-vs-fd" in failing
+        assert not any(q.startswith("grad[h_prev]") for q in failing)
         # Every other kernel still passes: the report localizes the bug.
         assert check_kernel("gru_cell_fused", seed=0).passed

@@ -10,7 +10,6 @@ from repro.utils import (
     check_positive,
     check_probability_matrix,
     make_rng,
-    spawn_rngs,
 )
 
 
@@ -21,17 +20,6 @@ class TestRng:
     def test_make_rng_passthrough(self):
         rng = np.random.default_rng(0)
         assert make_rng(rng) is rng
-
-    def test_spawn_rngs_independent(self):
-        rngs = spawn_rngs(7, 3)
-        assert len(rngs) == 3
-        draws = {rng.random() for rng in rngs}
-        assert len(draws) == 3
-
-    def test_spawn_rngs_reproducible(self):
-        a = [rng.random() for rng in spawn_rngs(7, 2)]
-        b = [rng.random() for rng in spawn_rngs(7, 2)]
-        assert a == b
 
 
 class TestValidation:
